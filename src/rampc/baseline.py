@@ -113,6 +113,7 @@ class BaselineController:
         )
 
 
+# one-entry cache, as for the adaptive controller
 _baseline_cache: dict = {}
 
 
@@ -121,6 +122,7 @@ def _baseline_for(sys, cfg) -> BaselineController:
     ctl = _baseline_cache.get(key)
     if ctl is None or ctl.sys is not sys or ctl.cfg is not cfg:
         ctl = BaselineController(sys, cfg)
+        _baseline_cache.clear()
         _baseline_cache[key] = ctl
     return ctl
 

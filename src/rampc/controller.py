@@ -11,8 +11,12 @@ Constraint robustification is split by horizon length:
   dual-norm term  wtilde_max * ||(C M + G)' f||_1, encoded exactly through
   per-entry absolute-value variables.
 
-At every step one QP per horizon 1..N is solved and the cheapest feasible
-one wins (ties go to the shortest horizon).  Terminal ingredients: a robust
+At every step the cheapest feasible horizon wins (ties go to the shortest
+horizon).  The horizons are tried longest first, and a horizon is solved
+only if its exact lower bound x' S_n x -- the unconstrained minimum of its
+cost over the nominal inputs, with S_n prepared once per horizon -- does not
+exceed the best cost so far; a skipped horizon could not have won, so the
+selection is the same as solving every horizon.  Terminal ingredients: a robust
 positive invariant terminal set computed with the exact vertex uncertainty,
 and a terminal cost from the closed-loop Lyapunov series, which makes the
 descent inequality hold with equality globally.
@@ -420,11 +424,16 @@ def build_caseN(
 
 @dataclass
 class HorizonResult:
+    """Outcome of one horizon.  A pruned horizon was never solved: its lower
+    bound exceeded the best cost found, so ``status`` and ``cost`` are None."""
+
     N_t: int
-    status: SolveStatus
+    status: SolveStatus | None
     cost: float | None
     solve_time: float
     farkas: dict | None = None
+    pruned: bool = False
+    bound: float | None = None
 
 
 @dataclass
@@ -461,13 +470,28 @@ class MPCSolution:
             "per_horizon": [
                 {
                     "N_t": r.N_t,
-                    "status": str(r.status),
+                    "status": "pruned" if r.pruned else str(r.status),
                     "cost": r.cost,
+                    "bound": r.bound,
                     "solve_time": r.solve_time,
                 }
                 for r in self.per_horizon
             ],
         }
+
+
+def _bound_map(tpl) -> np.ndarray:
+    """S with x'Sx = min over z of the template's cost at x, constraints dropped.
+
+    The cost is 1/2 z'Qz + q(x)'z + constant(x), where only the nominal
+    inputs (the leading block of z, of size ``_q_map.shape[0]``) carry cost;
+    minimizing over them gives S = const_map - 1/2 q_map' Q_uu^-1 q_map.  It
+    lower-bounds the objective at *any* z, feasible or not.
+    """
+    n_u = tpl._q_map.shape[0]
+    Q_uu = tpl.Q[:n_u, :n_u]
+    S = tpl._const_map - 0.5 * tpl._q_map.T @ np.linalg.solve(Q_uu, tpl._q_map)
+    return 0.5 * (S + S.T)
 
 
 class AdaptiveController:
@@ -486,28 +510,45 @@ class AdaptiveController:
             n: ParametricQP(tpl.Q, tpl.G, settings=settings)
             for n, tpl in self.templates.items()
         }
+        self.bound_maps = {n: _bound_map(tpl) for n, tpl in self.templates.items()}
 
     def solve(self, x_t) -> MPCSolution:
+        """Minimum-cost feasible horizon at x_t, ties to the shortest.
+
+        Horizons run longest first.  Horizon n is skipped when its lower
+        bound x'S_n x exceeds the best cost so far by more than float
+        rounding: its reported cost could only be larger, so it could not
+        win, and the selection equals that of solving every horizon.
+        Nothing is skipped until some horizon is feasible, so an
+        all-infeasible result still carries every horizon's verdict.
+        """
         x = np.asarray(x_t, dtype=float).reshape(-1)
         per = []
-        best = None
+        best = None  # (J, n, outcome)
         failed = False
-        for n in range(1, self.cfg.N + 1):
+        for n in range(self.cfg.N, 0, -1):
             tpl = self.templates[n]
             t0 = time.perf_counter()
+            bound = float(x @ self.bound_maps[n] @ x)
+            if best is not None and bound > best[0] + 1e-9 * (1.0 + abs(best[0])):
+                per.append(
+                    HorizonResult(n, None, None, time.perf_counter() - t0, pruned=True, bound=bound)
+                )
+                continue
             q, h = tpl.parts(x)
             out = self.solvers[n].solve(q, h)
             elapsed = time.perf_counter() - t0
             if out.status is SolveStatus.OPTIMAL:
                 J = out.objective + tpl.constant(x)
-                per.append(HorizonResult(n, out.status, J, elapsed))
-                if best is None or J < best[1]:
-                    best = (n, J, out)
+                per.append(HorizonResult(n, out.status, J, elapsed, bound=bound))
+                if best is None or (J, n) < best[:2]:
+                    best = (J, n, out)
             else:
                 failed = failed or out.status is not SolveStatus.INFEASIBLE
                 per.append(
-                    HorizonResult(n, out.status, None, elapsed, farkas=out.farkas)
+                    HorizonResult(n, out.status, None, elapsed, farkas=out.farkas, bound=bound)
                 )
+        per.reverse()  # report in horizon order 1..N
         if best is None:
             # a numerical failure must stay distinguishable from semantic
             # infeasibility (it would otherwise silently shrink ROA masks)
@@ -521,7 +562,7 @@ class AdaptiveController:
                 per_horizon=per,
                 x_t=x,
             )
-        n, J, out = best
+        J, n, out = best
         tpl = self.templates[n]
         u, M = tpl.extract(out.x_opt)
         x_next = self.sys.A_bar @ x + self.sys.B_bar @ u[0]
@@ -548,7 +589,8 @@ class AdaptiveController:
         return sol.applied_input, sol
 
 
-# module-level cache so the free-function entry points stay cheap in loops
+# one-entry module-level cache: the free-function entry points stay cheap in
+# loops over one (sys, cfg) without keeping every system and config alive
 _controller_cache: dict = {}
 
 
@@ -557,6 +599,7 @@ def _controller_for(sys, cfg) -> AdaptiveController:
     ctl = _controller_cache.get(key)
     if ctl is None or ctl.sys is not sys or ctl.cfg is not cfg:
         ctl = AdaptiveController(sys, cfg)
+        _controller_cache.clear()
         _controller_cache[key] = ctl
     return ctl
 

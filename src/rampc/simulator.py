@@ -302,7 +302,9 @@ def benchmark(sys: UncertainSystem, cfg: MPCConfig, horizons, reps: int, x0=None
     Timing covers exactly the per-step online work of the controller:
     assembling the state-dependent QP data and solving it.  Problem-file
     parsing and template/factorization preparation are excluded (one-time,
-    reported separately).
+    reported separately).  Each rep times every horizon in turn, so a spell
+    of load on the machine slows all horizons alike instead of the one whose
+    block it hits.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -313,28 +315,28 @@ def benchmark(sys: UncertainSystem, cfg: MPCConfig, horizons, reps: int, x0=None
     t_prep0 = time.perf_counter()
     ctl = AdaptiveController(sys, cfg)
     prep_time = time.perf_counter() - t_prep0
+    times = {n: [] for n in horizons}
+    statuses = {n: {} for n in horizons}
+    for _ in range(reps):
+        for n in horizons:
+            t0 = time.perf_counter()
+            q, h = ctl.templates[n].parts(x)
+            out = ctl.solvers[n].solve(q, h)
+            times[n].append(time.perf_counter() - t0)
+            statuses[n][str(out.status)] = statuses[n].get(str(out.status), 0) + 1
     rows = []
     for n in horizons:
         tpl = ctl.templates[n]
-        solver = ctl.solvers[n]
-        times = []
-        statuses = {}
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            q, h = tpl.parts(x)
-            out = solver.solve(q, h)
-            times.append(time.perf_counter() - t0)
-            statuses[str(out.status)] = statuses.get(str(out.status), 0) + 1
-        times = np.asarray(times)
+        t = np.asarray(times[n])
         rows.append(
             {
                 "N_t": n,
-                "mean_s": float(times.mean()),
-                "median_s": float(np.median(times)),
-                "min_s": float(times.min()),
-                "max_s": float(times.max()),
+                "mean_s": float(t.mean()),
+                "median_s": float(np.median(t)),
+                "min_s": float(t.min()),
+                "max_s": float(t.max()),
                 "reps": reps,
-                "statuses": statuses,
+                "statuses": statuses[n],
                 "n_variables": tpl.n_vars,
                 "n_constraints": tpl.G.shape[0],
                 "reference_time_s": REFERENCE_TIMES_S.get(n),

@@ -1,7 +1,11 @@
 """Controller: terminal synthesis, the two robustification cases, adaptivity."""
+import dataclasses
+
 import numpy as np
 import pytest
 
+from rampc import baseline, controller
+from rampc.baseline import baseline_solve, make_baseline_config
 from rampc.controller import (
     AdaptiveController,
     adaptive_solve,
@@ -21,7 +25,8 @@ from rampc.errors import (
 from rampc.geometry import Polytope, is_subset
 from rampc.prediction import FeedbackGainStack, build_stacked
 from rampc.qpsolver import SolveStatus, solve_qp
-from rampc.system import UncertainSystem, load_problem_dict
+from rampc.simulator import simulate_closed_loop
+from rampc.system import UncertainSystem, load_problem_dict, sample_realization
 
 from conftest import scalar_problem_dict
 
@@ -243,9 +248,10 @@ class TestAdaptive:
             if not X_N.contains(x, tol=0.0):
                 continue
             count += 1
-            sol = default_controller.solve(x)
-            assert sol.is_feasible
-            assert sol.per_horizon[0].status is SolveStatus.OPTIMAL
+            assert default_controller.solve(x).is_feasible
+            # solved directly: the bank may prune horizon 1 when a longer one is cheaper
+            out = default_controller.solvers[1].solve(*default_controller.templates[1].parts(x))
+            assert out.status is SolveStatus.OPTIMAL
 
     def test_origin(self, default_problem, default_cfg):
         sol = adaptive_solve(default_problem.system, default_cfg, np.zeros(2))
@@ -283,8 +289,6 @@ class TestAdaptive:
 
     def test_monotone_nesting_in_bound(self, default_problem, default_cfg):
         # shrinking wtilde_max never breaks feasibility of a feasible case-N
-        import dataclasses
-
         sys = default_problem.system
         term = default_cfg.terminal
         x = np.array([5.0, -3.0])
@@ -307,6 +311,153 @@ class TestAdaptive:
         q0 = candidate_tail_cost(default_cfg, default_problem.system, sol, np.zeros(2))
         stage = x @ default_cfg.P @ x + sol.applied_input @ default_cfg.R @ sol.applied_input
         assert sol.J_star == pytest.approx(stage + q0, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# horizon pruning is exact
+# ---------------------------------------------------------------------------
+
+X0_SET = [(6.0, -6.0), (-6.0, 6.0), (4.0, 4.0), (-4.0, -4.0), (7.0, 0.0)]  # acceptance suite
+CLOSED_LOOP_STEPS = 50
+
+
+def _exhaustive_reference(ctl, x):
+    """Selection without pruning: every horizon in ascending order, strict < on cost.
+
+    Returns (status, N*, J*, applied input, {horizon: cost of every feasible horizon}).
+    """
+    best = None
+    costs = {}
+    failed = False
+    for n in range(1, ctl.cfg.N + 1):
+        tpl = ctl.templates[n]
+        out = ctl.solvers[n].solve(*tpl.parts(x))
+        if out.status is SolveStatus.OPTIMAL:
+            J = out.objective + tpl.constant(x)
+            costs[n] = J
+            if best is None or J < best[1]:
+                best = (n, J, out)
+        else:
+            failed = failed or out.status is not SolveStatus.INFEASIBLE
+    if best is None:
+        status = SolveStatus.NUMERICAL_FAILURE if failed else SolveStatus.INFEASIBLE
+        return status, None, None, None, costs
+    n, J, out = best
+    u, _ = ctl.templates[n].extract(out.x_opt)
+    return SolveStatus.OPTIMAL, n, J, u[0], costs
+
+
+def _closed_loop_states(problem, cfg, ctl):
+    states = []
+    for i, x0 in enumerate(X0_SET):
+        real = sample_realization(problem.system, CLOSED_LOOP_STEPS, seed=i)
+        trace = simulate_closed_loop(
+            problem.system, cfg, x0, CLOSED_LOOP_STEPS, real, controller=ctl
+        )
+        assert trace.completed == CLOSED_LOOP_STEPS
+        states.extend(trace.states[:-1])
+    return states
+
+
+def _grid_states(problem):
+    X = problem.system.X
+    lo, hi = X.bounding_box()
+    axes = [np.linspace(lo[j], hi[j], 10) for j in range(X.dim)]
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return [p for p in pts if X.contains(p)]
+
+
+@pytest.fixture(scope="module")
+def pruning_cases(default_problem, default_cfg, default_controller):
+    """{set name: [(x, pruned solution, exhaustive reference)]}."""
+    ctl = default_controller
+    sets = {
+        "closed_loop": _closed_loop_states(default_problem, default_cfg, ctl),
+        "grid": _grid_states(default_problem),
+    }
+    return {
+        name: [(x, ctl.solve(x), _exhaustive_reference(ctl, x)) for x in xs]
+        for name, xs in sets.items()
+    }
+
+
+class TestPruning:
+    def test_bound_below_every_cost(self, default_controller, pruning_cases):
+        # (a) x'S_n x never exceeds horizon n's reported cost, pruned or not
+        checked = 0
+        for cases in pruning_cases.values():
+            for x, sol, (_, _, _, _, costs) in cases:
+                for n, J in costs.items():
+                    bound = float(x @ default_controller.bound_maps[n] @ x)
+                    assert bound <= J + 1e-9 * (1.0 + abs(J))
+                    checked += 1
+                for r in sol.per_horizon:
+                    if r.status is SolveStatus.OPTIMAL:
+                        assert r.bound <= r.cost + 1e-9 * (1.0 + abs(r.cost))
+        assert checked > 0
+
+    def test_selection_bitwise_equal_to_exhaustive(self, pruning_cases):
+        # (b) status, N*, J* and the applied input match the unpruned rule exactly
+        for name, cases in pruning_cases.items():
+            for x, sol, (status, n_star, J_star, u, _) in cases:
+                assert sol.status is status, (name, x)
+                assert sol.N_star == n_star, (name, x)
+                assert sol.J_star == J_star, (name, x)
+                if u is None:
+                    assert sol.applied_input is None
+                else:
+                    assert np.array_equal(sol.applied_input, u), (name, x)
+        infeasible = [sol for _, sol, _ in pruning_cases["grid"] if not sol.is_feasible]
+        assert infeasible, "the grid should contain infeasible points"
+        for sol in infeasible:
+            # nothing is pruned before some horizon is feasible
+            assert not any(r.pruned for r in sol.per_horizon)
+
+    def test_pruning_skips_most_shorter_horizons(self, default_cfg, pruning_cases):
+        # (c) on the closed-loop states at least 90 % of the N_t < N solves are skipped
+        cases = pruning_cases["closed_loop"]
+        N = default_cfg.N
+        shorter = [r for _, sol, _ in cases for r in sol.per_horizon if r.N_t < N]
+        assert len(shorter) == len(cases) * (N - 1)
+        pruned = sum(r.pruned for r in shorter)
+        assert pruned >= 0.9 * len(shorter), "%d of %d pruned" % (pruned, len(shorter))
+        for _, sol, _ in cases:
+            assert [r.N_t for r in sol.per_horizon] == list(range(1, N + 1))
+            for r in sol.per_horizon:
+                assert (r.status is None and r.cost is None) == r.pruned
+                assert not (r.pruned and r.farkas is not None)
+
+    def test_origin_prunes_nothing(self, default_controller):
+        # (d) every horizon costs 0 at the origin: all are solved, the shortest wins
+        sol = default_controller.solve(np.zeros(2))
+        assert not any(r.pruned for r in sol.per_horizon)
+        assert sol.N_star == 1
+
+    def test_report_marks_pruned_horizons(self, default_controller):
+        sol = default_controller.solve(np.array([6.0, -6.0]))
+        rep = sol.report()
+        entries = rep["per_horizon"]
+        assert [e["N_t"] for e in entries] == [1, 2, 3, 4, 5]
+        pruned = [e for e in entries if e["status"] == "pruned"]
+        assert pruned and all(e["cost"] is None and e["bound"] > sol.J_star for e in pruned)
+        assert entries[-1]["status"] == "optimal"
+
+
+def test_free_function_caches_hold_one_entry(default_problem, default_cfg):
+    prob = default_problem
+    sys = prob.system
+    x = np.zeros(2)
+    cfgs = [dataclasses.replace(default_cfg, N=n) for n in (1, 2, 3)]
+    for cfg in cfgs:
+        assert adaptive_solve(sys, cfg, x).is_feasible
+        assert len(controller._controller_cache) <= 1
+    assert controller._controller_for(sys, cfgs[-1]) is controller._controller_for(sys, cfgs[-1])
+    bcfg = make_baseline_config(sys, prob.K, prob.P, prob.R, prob.N, bound=default_cfg.bound)
+    bcfgs = [dataclasses.replace(bcfg, N=n) for n in (1, 2, 3)]
+    for cfg in bcfgs:
+        assert baseline_solve(sys, cfg, x).is_feasible
+        assert len(baseline._baseline_cache) <= 1
+    assert baseline._baseline_for(sys, bcfgs[-1]) is baseline._baseline_for(sys, bcfgs[-1])
 
 
 class TestRollout:
