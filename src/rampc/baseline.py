@@ -87,9 +87,7 @@ class BaselineController:
         elapsed = time.perf_counter() - t0
         if out.status is not SolveStatus.OPTIMAL:
             return MPCSolution(
-                status=SolveStatus.INFEASIBLE
-                if out.status is SolveStatus.INFEASIBLE
-                else out.status,
+                status=out.status,
                 N_star=None,
                 u_bar_star=None,
                 M_star=None,

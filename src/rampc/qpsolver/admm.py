@@ -1,4 +1,4 @@
-"""Operator-splitting QP solver with active-set polishing.
+"""Operator-splitting QP solver with KKT-verified results.
 
 The solver follows the standard scaled ADMM scheme for
 
@@ -12,12 +12,15 @@ what makes receding-horizon use cheap.  Each ``solve`` is a pure function of
 its arguments (iterates and step-size adaptation always restart from the
 same state), so repeated solves are bitwise reproducible.
 
-Accuracy model: the ADMM loop runs to a moderate tolerance, then an
-active-set polish solves the reduced KKT system and is verified against
-absolute 1e-8 primal/dual residuals; if polishing fails the loop continues
-at a tighter tolerance before giving up.  An INFEASIBLE verdict is never
-emitted on ADMM evidence alone: it is confirmed by an exact LP feasibility
-probe and carries a verified Farkas certificate.
+Accuracy model: the ADMM loop runs until its residuals converge to a
+moderate tolerance, then the unscaled iterate (inequality duals clipped at
+zero) is verified against absolute 1e-8 primal feasibility, dual sign and
+stationarity.  If the check fails, the loop is tightened once to 1e-10 and
+verified again; a second failure is NUMERICAL_FAILURE, never a result that
+misses the contract.  Every OPTIMAL result is the verified ADMM iterate.
+An INFEASIBLE verdict is never emitted on ADMM evidence alone: it is
+confirmed by an exact LP feasibility probe and carries a verified Farkas
+certificate.
 """
 from __future__ import annotations
 
@@ -73,7 +76,6 @@ class ADMMSettings:
     check_every: int = 25
     ruiz_iters: int = 10
     adaptive_rho: bool = True
-    polish_delta: float = 1e-7
     kkt_tol: float = 1e-8
 
 
@@ -224,63 +226,6 @@ class ParametricQP:
             return False
         return True
 
-    # -- polish --------------------------------------------------------------
-    def _polish(self, xu, yu, q, h, b):
-        s = self.settings
-        if self.m_in:
-            slack = h - self.G @ xu
-            y_in = yu[: self.m_in]
-            act = (y_in > 1e-9) | (slack < 1e-7 * (1.0 + np.abs(h)))
-        else:
-            act = np.zeros(0, dtype=bool)
-        for _ in range(4):
-            idx = np.flatnonzero(act)
-            Ga = self.G[idx] if self.m_in else np.zeros((0, self.n))
-            ha = h[idx] if self.m_in else np.zeros(0)
-            n_act = len(idx)
-            n_eq = self.m_eq
-            dim = self.n + n_act + n_eq
-            K = np.zeros((dim, dim))
-            K[: self.n, : self.n] = self.Q
-            rhs = np.concatenate([-q, ha, b if n_eq else np.zeros(0)])
-            if n_act:
-                K[self.n : self.n + n_act, : self.n] = Ga
-                K[: self.n, self.n : self.n + n_act] = Ga.T
-            if n_eq:
-                K[self.n + n_act :, : self.n] = self.A_eq
-                K[: self.n, self.n + n_act :] = self.A_eq.T
-            Kreg = K.copy()
-            Kreg[: self.n, : self.n] += s.polish_delta * np.eye(self.n)
-            for i in range(self.n, dim):
-                Kreg[i, i] -= s.polish_delta
-            try:
-                lu = scipy.linalg.lu_factor(Kreg, check_finite=False)
-            except (scipy.linalg.LinAlgError, ValueError):
-                return None
-            sol = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-            best = sol
-            best_res = float(np.max(np.abs(K @ sol - rhs)))
-            for _ in range(4):  # iterative refinement on the unregularized KKT
-                r = rhs - K @ sol
-                sol = sol + scipy.linalg.lu_solve(lu, r, check_finite=False)
-                res = float(np.max(np.abs(K @ sol - rhs)))
-                if res < best_res:
-                    best, best_res = sol, res
-                else:
-                    break
-            sol = best
-            x_pol = sol[: self.n]
-            y_act = sol[self.n : self.n + n_act]
-            y_eq = sol[self.n + n_act :]
-            neg = y_act < -1e-7
-            if np.any(neg):  # wrong active guesses: drop and retry
-                act[idx[neg]] = False
-                continue
-            y_full = np.zeros(self.m_in)
-            y_full[idx] = np.maximum(y_act, 0.0)
-            return x_pol, y_full, y_eq
-        return None
-
     def _kkt_ok(self, x, y_in, y_eq, q, h, b):
         tol = self.settings.kkt_tol
         if self.m_in:
@@ -348,19 +293,18 @@ class ParametricQP:
             eps_p = eps_abs + eps_rel * scale_p
             eps_d = eps_abs + eps_rel * scale_d
             if r_p <= eps_p and r_d <= eps_d:
-                result = self._finalize(xu, yu, q, h, b)
-                if result is not None:
-                    x_f, y_in, y_eq, polished = result
-                    obj = float(0.5 * x_f @ (self.Q @ x_f) + q @ x_f)
+                y_in = np.maximum(yu[: self.m_in], 0.0)
+                y_eq = yu[self.m_in :]
+                if self._kkt_ok(xu, y_in, y_eq, q, h, b):
+                    obj = float(0.5 * xu @ (self.Q @ xu) + q @ xu)
                     return finish(
                         SolveStatus.OPTIMAL,
-                        x_opt=x_f,
+                        x_opt=xu,
                         objective=obj,
                         y_ineq=y_in,
                         y_eq=y_eq if self.m_eq else None,
-                        polished=polished,
                     )
-                if not tightened:  # polish failed: push the loop further first
+                if not tightened:  # KKT check failed: push the loop further first
                     eps_abs = eps_rel = 1e-10
                     tightened = True
                     continue
@@ -392,19 +336,6 @@ class ParametricQP:
         if feas is False and cert is not None:
             return finish(SolveStatus.INFEASIBLE, farkas=cert)
         return finish(SolveStatus.NUMERICAL_FAILURE)
-
-    def _finalize(self, xu, yu, q, h, b):
-        """Polish and verify; fall back to raw iterates if they already pass."""
-        y_in = yu[: self.m_in]
-        y_eq = yu[self.m_in :]
-        pol = self._polish(xu, yu, q, h, b)
-        if pol is not None:
-            x_p, y_p, y_eq_p = pol
-            if self._kkt_ok(x_p, y_p, y_eq_p, q, h, b):
-                return x_p, y_p, y_eq_p, True
-        if self._kkt_ok(xu, np.maximum(y_in, 0.0), y_eq, q, h, b):
-            return xu, np.maximum(y_in, 0.0), y_eq, False
-        return None
 
 
 def solve_qp(prog: QuadraticProgram, settings: ADMMSettings | None = None) -> SolveOutcome:

@@ -73,9 +73,13 @@ def solve_lp(c, G_ineq, h_ineq, A_eq=None, b_eq=None) -> SolveOutcome:
 def feasible_point(G, h, A_eq=None, b_eq=None):
     """Probe feasibility of {x : Gx <= h, A_eq x = b_eq}.
 
-    Returns (True, x) with a feasible point, or (False, certificate).
-    Raises SolverNumericalError-free: callers treat None certificate as
-    numerical failure.
+    Returns one of:
+      (True, x)      the set is nonempty and x is a point in it;
+      (False, cert)  HiGHS reports the set empty; cert is a verified Farkas
+                     certificate, or None if none could be verified;
+      (None, None)   HiGHS reached no verdict.
+    Never raises on a failed LP: callers treat anything but (False, cert)
+    with a certificate as no proof of infeasibility.
     """
     n = G.shape[1] if G is not None and len(G) else A_eq.shape[1]
     res = _run_linprog(np.zeros(n), G, h, A_eq, b_eq)

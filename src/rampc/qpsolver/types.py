@@ -95,6 +95,9 @@ class SolveOutcome:
     ``objective`` equals 1/2 x'Qx + q'x (c'x for LPs) evaluated at ``x_opt``.
     When status is INFEASIBLE, ``farkas`` holds a verified certificate
     {"y": ..., "nu": ...} with y >= 0, G'y + A'nu = 0 and h'y + b'nu < 0.
+    ``polished`` is always False: no solver refines its result after
+    convergence.  The field stays because the benchmark's tracing
+    (``perfbench/tracing.py``) reads it.
     """
 
     status: SolveStatus

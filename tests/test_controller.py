@@ -324,14 +324,16 @@ CLOSED_LOOP_STEPS = 50
 def _exhaustive_reference(ctl, x):
     """Selection without pruning: every horizon in ascending order, strict < on cost.
 
-    Returns (status, N*, J*, applied input, {horizon: cost of every feasible horizon}).
+    Returns (status, N*, J*, applied input, {horizon: cost of every feasible horizon},
+    {horizon: solve outcome of every horizon}).
     """
     best = None
     costs = {}
+    outcomes = {}
     failed = False
     for n in range(1, ctl.cfg.N + 1):
         tpl = ctl.templates[n]
-        out = ctl.solvers[n].solve(*tpl.parts(x))
+        out = outcomes[n] = ctl.solvers[n].solve(*tpl.parts(x))
         if out.status is SolveStatus.OPTIMAL:
             J = out.objective + tpl.constant(x)
             costs[n] = J
@@ -341,10 +343,10 @@ def _exhaustive_reference(ctl, x):
             failed = failed or out.status is not SolveStatus.INFEASIBLE
     if best is None:
         status = SolveStatus.NUMERICAL_FAILURE if failed else SolveStatus.INFEASIBLE
-        return status, None, None, None, costs
+        return status, None, None, None, costs, outcomes
     n, J, out = best
     u, _ = ctl.templates[n].extract(out.x_opt)
-    return SolveStatus.OPTIMAL, n, J, u[0], costs
+    return SolveStatus.OPTIMAL, n, J, u[0], costs, outcomes
 
 
 def _closed_loop_states(problem, cfg, ctl):
@@ -386,7 +388,7 @@ class TestPruning:
         # (a) x'S_n x never exceeds horizon n's reported cost, pruned or not
         checked = 0
         for cases in pruning_cases.values():
-            for x, sol, (_, _, _, _, costs) in cases:
+            for x, sol, (_, _, _, _, costs, _) in cases:
                 for n, J in costs.items():
                     bound = float(x @ default_controller.bound_maps[n] @ x)
                     assert bound <= J + 1e-9 * (1.0 + abs(J))
@@ -399,7 +401,7 @@ class TestPruning:
     def test_selection_bitwise_equal_to_exhaustive(self, pruning_cases):
         # (b) status, N*, J* and the applied input match the unpruned rule exactly
         for name, cases in pruning_cases.items():
-            for x, sol, (status, n_star, J_star, u, _) in cases:
+            for x, sol, (status, n_star, J_star, u, _, _) in cases:
                 assert sol.status is status, (name, x)
                 assert sol.N_star == n_star, (name, x)
                 assert sol.J_star == J_star, (name, x)
@@ -412,6 +414,24 @@ class TestPruning:
         for sol in infeasible:
             # nothing is pruned before some horizon is feasible
             assert not any(r.pruned for r in sol.per_horizon)
+
+    def test_optimal_horizon_results_meet_kkt_contract(self, default_controller, pruning_cases):
+        # every OPTIMAL horizon QP, N_t = 1 included, is a 1e-8 KKT point
+        checked = dict.fromkeys(default_controller.templates, 0)
+        for cases in pruning_cases.values():
+            for x, _, (*_, outcomes) in cases:
+                for n, out in outcomes.items():
+                    if out.status is not SolveStatus.OPTIMAL:
+                        continue
+                    tpl = default_controller.templates[n]
+                    q, h = tpl.parts(x)
+                    z, y = out.x_opt, out.y_ineq
+                    assert np.max(tpl.G @ z - h) <= 1e-8, (n, x)
+                    assert np.min(y) >= -1e-8, (n, x)
+                    stationarity = np.max(np.abs(tpl.Q @ z + q + tpl.G.T @ y))
+                    assert stationarity <= 1e-8 * max(1.0, np.max(np.abs(q))), (n, x)
+                    checked[n] += 1
+        assert all(checked.values()), checked
 
     def test_pruning_skips_most_shorter_horizons(self, default_cfg, pruning_cases):
         # (c) on the closed-loop states at least 90 % of the N_t < N solves are skipped
