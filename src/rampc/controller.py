@@ -495,22 +495,32 @@ def _bound_map(tpl) -> np.ndarray:
 
 
 class AdaptiveController:
-    """Prepared bank of horizon problems with cached factorizations."""
+    """Prepared bank of horizon problems with cached factorizations.
+
+    This bank holds horizons 1..N; the lumped baseline
+    (``rampc.baseline.BaselineController``) is the same controller with a
+    bank of one horizon.
+    """
 
     def __init__(self, sys: UncertainSystem, cfg: MPCConfig, settings: ADMMSettings | None = None):
-        self.sys = sys
-        self.cfg = cfg
         t = cfg.terminal
-        self.templates = {1: Case1Template(sys, t, cfg.P, cfg.R)}
+        templates = {1: Case1Template(sys, t, cfg.P, cfg.R)}
         for n in range(2, cfg.N + 1):
-            self.templates[n] = CaseNTemplate(
+            templates[n] = CaseNTemplate(
                 sys, t.X_N.H, t.X_N.h, cfg.P, cfg.R, t.P_N, cfg.bound.w_tilde_max, n
             )
+        self._prepare(sys, cfg, templates, settings)
+
+    def _prepare(self, sys, cfg, templates, settings):
+        """Factor every template's QP and its pruning bound map."""
+        self.sys = sys
+        self.cfg = cfg
+        self.templates = templates
         self.solvers = {
             n: ParametricQP(tpl.Q, tpl.G, settings=settings)
-            for n, tpl in self.templates.items()
+            for n, tpl in templates.items()
         }
-        self.bound_maps = {n: _bound_map(tpl) for n, tpl in self.templates.items()}
+        self.bound_maps = {n: _bound_map(tpl) for n, tpl in templates.items()}
 
     def solve(self, x_t) -> MPCSolution:
         """Minimum-cost feasible horizon at x_t, ties to the shortest.
@@ -526,7 +536,7 @@ class AdaptiveController:
         per = []
         best = None  # (J, n, outcome)
         failed = False
-        for n in range(self.cfg.N, 0, -1):
+        for n in sorted(self.templates, reverse=True):
             tpl = self.templates[n]
             t0 = time.perf_counter()
             bound = float(x @ self.bound_maps[n] @ x)
@@ -583,24 +593,22 @@ class AdaptiveController:
         sol = self.solve(x_t)
         if not sol.is_feasible:
             raise AllHorizonsInfeasibleError(
-                "all %d horizon problems infeasible at x=%s" % (self.cfg.N, x_t),
+                "all %d horizon problems infeasible at x=%s" % (len(self.templates), x_t),
                 per_horizon=sol.per_horizon,
             )
         return sol.applied_input, sol
 
 
-# one-entry module-level cache: the free-function entry points stay cheap in
-# loops over one (sys, cfg) without keeping every system and config alive
+# one entry per controller class: the free-function entry points stay cheap in
+# loops over one (sys, cfg), also when a loop alternates adaptive_solve and
+# baseline_solve, without keeping every system and config alive
 _controller_cache: dict = {}
 
 
-def _controller_for(sys, cfg) -> AdaptiveController:
-    key = (id(sys), id(cfg))
-    ctl = _controller_cache.get(key)
+def _controller_for(sys, cfg, cls=AdaptiveController) -> AdaptiveController:
+    ctl = _controller_cache.get(cls)
     if ctl is None or ctl.sys is not sys or ctl.cfg is not cfg:
-        ctl = AdaptiveController(sys, cfg)
-        _controller_cache.clear()
-        _controller_cache[key] = ctl
+        ctl = _controller_cache[cls] = cls(sys, cfg)
     return ctl
 
 

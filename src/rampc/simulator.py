@@ -245,29 +245,23 @@ def _classify(sol):
     return bool(sol.is_feasible)
 
 
-def _roa_chunk_proposed(args):
-    sys, cfg, pts = args
-    ctl = AdaptiveController(sys, cfg)
+def _roa_chunk(args):
+    cls, sys, cfg, pts = args
+    ctl = cls(sys, cfg)
     return [_classify(ctl.solve(p)) for p in pts]
 
 
-def _roa_chunk_baseline(args):
-    sys, cfg, pts = args
-    ctl = BaselineController(sys, cfg)
-    return [_classify(ctl.solve(p)) for p in pts]
-
-
-def _estimate(sys, cfg, grid_n, worker, jobs):
+def _estimate(cls, sys, cfg, grid_n, jobs):
     pts = _grid_points(sys.X, grid_n)
     if jobs and jobs > 1 and len(pts) > 1:
         chunks = np.array_split(np.arange(len(pts)), min(jobs, len(pts)))
-        payload = [(sys, cfg, pts[idx]) for idx in chunks if len(idx)]
+        payload = [(cls, sys, cfg, pts[idx]) for idx in chunks if len(idx)]
         mask = np.zeros(len(pts), dtype=bool)
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            for idx, res in zip([c for c in chunks if len(c)], ex.map(worker, payload)):
+            for idx, res in zip([c for c in chunks if len(c)], ex.map(_roa_chunk, payload)):
                 mask[idx] = res
     else:
-        mask = np.array(worker((sys, cfg, pts)), dtype=bool)
+        mask = np.array(_roa_chunk((cls, sys, cfg, pts)), dtype=bool)
     hull = None
     area = 0.0
     if sys.d == 2 and mask.any():
@@ -278,14 +272,14 @@ def _estimate(sys, cfg, grid_n, worker, jobs):
 
 def estimate_roa(sys: UncertainSystem, cfg: MPCConfig, grid_n: int, *, jobs: int = 1) -> ROAEstimate:
     """Grid feasibility sampling of the adaptive controller over X."""
-    return _estimate(sys, cfg, grid_n, _roa_chunk_proposed, jobs)
+    return _estimate(AdaptiveController, sys, cfg, grid_n, jobs)
 
 
 def estimate_roa_baseline(
     sys: UncertainSystem, cfg: BaselineConfig, grid_n: int, *, jobs: int = 1
 ) -> ROAEstimate:
     """Same protocol for the lumped baseline controller."""
-    return _estimate(sys, cfg, grid_n, _roa_chunk_baseline, jobs)
+    return _estimate(BaselineController, sys, cfg, grid_n, jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rampc import baseline, controller
-from rampc.baseline import baseline_solve, make_baseline_config
+from rampc import controller
+from rampc.baseline import BaselineController, baseline_solve, make_baseline_config
 from rampc.controller import (
     AdaptiveController,
     adaptive_solve,
@@ -331,7 +331,7 @@ def _exhaustive_reference(ctl, x):
     costs = {}
     outcomes = {}
     failed = False
-    for n in range(1, ctl.cfg.N + 1):
+    for n in sorted(ctl.templates):
         tpl = ctl.templates[n]
         out = outcomes[n] = ctl.solvers[n].solve(*tpl.parts(x))
         if out.status is SolveStatus.OPTIMAL:
@@ -370,17 +370,35 @@ def _grid_states(problem):
 
 
 @pytest.fixture(scope="module")
-def pruning_cases(default_problem, default_cfg, default_controller):
-    """{set name: [(x, pruned solution, exhaustive reference)]}."""
-    ctl = default_controller
+def bank_cases(default_problem, default_cfg, default_controller):
+    """{bank: (controller, {set name: [(x, pruned solution, exhaustive reference)]})}.
+
+    The baseline is the one-horizon bank of the same controller; it is run on
+    the adaptive controller's closed-loop states and on the grid.
+    """
+    prob = default_problem
+    bcfg = make_baseline_config(prob.system, prob.K, prob.P, prob.R, prob.N, bound=default_cfg.bound)
+    banks = {"adaptive": default_controller, "baseline": BaselineController(prob.system, bcfg)}
     sets = {
-        "closed_loop": _closed_loop_states(default_problem, default_cfg, ctl),
-        "grid": _grid_states(default_problem),
+        "closed_loop": _closed_loop_states(prob, default_cfg, default_controller),
+        "grid": _grid_states(prob),
     }
     return {
-        name: [(x, ctl.solve(x), _exhaustive_reference(ctl, x)) for x in xs]
-        for name, xs in sets.items()
+        bank: (
+            ctl,
+            {
+                name: [(x, ctl.solve(x), _exhaustive_reference(ctl, x)) for x in xs]
+                for name, xs in sets.items()
+            },
+        )
+        for bank, ctl in banks.items()
     }
+
+
+@pytest.fixture(scope="module")
+def pruning_cases(bank_cases):
+    """{set name: [(x, pruned solution, exhaustive reference)]} of the adaptive bank."""
+    return bank_cases["adaptive"][1]
 
 
 class TestPruning:
@@ -398,8 +416,10 @@ class TestPruning:
                         assert r.bound <= r.cost + 1e-9 * (1.0 + abs(r.cost))
         assert checked > 0
 
-    def test_selection_bitwise_equal_to_exhaustive(self, pruning_cases):
+    @pytest.mark.parametrize("bank", ["adaptive", "baseline"])
+    def test_selection_bitwise_equal_to_exhaustive(self, bank, bank_cases):
         # (b) status, N*, J* and the applied input match the unpruned rule exactly
+        _, pruning_cases = bank_cases[bank]
         for name, cases in pruning_cases.items():
             for x, sol, (status, n_star, J_star, u, _, _) in cases:
                 assert sol.status is status, (name, x)
@@ -415,15 +435,17 @@ class TestPruning:
             # nothing is pruned before some horizon is feasible
             assert not any(r.pruned for r in sol.per_horizon)
 
-    def test_optimal_horizon_results_meet_kkt_contract(self, default_controller, pruning_cases):
+    @pytest.mark.parametrize("bank", ["adaptive", "baseline"])
+    def test_optimal_horizon_results_meet_kkt_contract(self, bank, bank_cases):
         # every OPTIMAL horizon QP, N_t = 1 included, is a 1e-8 KKT point
-        checked = dict.fromkeys(default_controller.templates, 0)
+        ctl, pruning_cases = bank_cases[bank]
+        checked = dict.fromkeys(ctl.templates, 0)
         for cases in pruning_cases.values():
             for x, _, (*_, outcomes) in cases:
                 for n, out in outcomes.items():
                     if out.status is not SolveStatus.OPTIMAL:
                         continue
-                    tpl = default_controller.templates[n]
+                    tpl = ctl.templates[n]
                     q, h = tpl.parts(x)
                     z, y = out.x_opt, out.y_ineq
                     assert np.max(tpl.G @ z - h) <= 1e-8, (n, x)
@@ -464,20 +486,28 @@ class TestPruning:
 
 
 def test_free_function_caches_hold_one_entry(default_problem, default_cfg):
+    # one cached controller per class, so alternating the adaptive and the
+    # baseline entry points on one (sys, cfg) pair rebuilds neither
     prob = default_problem
     sys = prob.system
     x = np.zeros(2)
-    cfgs = [dataclasses.replace(default_cfg, N=n) for n in (1, 2, 3)]
-    for cfg in cfgs:
+    lumped = make_baseline_config(sys, prob.K, prob.P, prob.R, prob.N, bound=default_cfg.bound)
+    for n in (1, 2, 3):
+        cfg = dataclasses.replace(default_cfg, N=n)
+        bcfg = dataclasses.replace(lumped, N=n)
         assert adaptive_solve(sys, cfg, x).is_feasible
-        assert len(controller._controller_cache) <= 1
-    assert controller._controller_for(sys, cfgs[-1]) is controller._controller_for(sys, cfgs[-1])
-    bcfg = make_baseline_config(sys, prob.K, prob.P, prob.R, prob.N, bound=default_cfg.bound)
-    bcfgs = [dataclasses.replace(bcfg, N=n) for n in (1, 2, 3)]
-    for cfg in bcfgs:
-        assert baseline_solve(sys, cfg, x).is_feasible
-        assert len(baseline._baseline_cache) <= 1
-    assert baseline._baseline_for(sys, bcfgs[-1]) is baseline._baseline_for(sys, bcfgs[-1])
+        assert baseline_solve(sys, bcfg, x).is_feasible
+        assert set(controller._controller_cache) == {AdaptiveController, BaselineController}
+        for cls, ctl in controller._controller_cache.items():
+            assert type(ctl) is cls
+    ctl = controller._controller_cache[AdaptiveController]
+    bctl = controller._controller_cache[BaselineController]
+    assert ctl.cfg is cfg and bctl.cfg is bcfg
+    for _ in range(3):
+        assert adaptive_solve(sys, cfg, x).is_feasible
+        assert baseline_solve(sys, bcfg, x).is_feasible
+        assert controller._controller_cache[AdaptiveController] is ctl
+        assert controller._controller_cache[BaselineController] is bctl
 
 
 class TestRollout:

@@ -2,8 +2,11 @@
 
 The benchmark drives the public API and reads solver internals such as
 ``SolveOutcome.polished``, ``BaselineController.solver``/``.template`` and
-``AdaptiveController.solvers``.  Running its self-test here makes a change
-to src/ that breaks what the benchmark reads fail the test suite.
+``AdaptiveController.solvers``.  Its tracer wraps ``__init__`` and ``solve``
+from each controller class's own ``__dict__``, so ``BaselineController``
+must define both in its class body even though it inherits the logic from
+``AdaptiveController``.  Running its self-test here makes a change to src/
+that breaks what the benchmark reads fail the test suite.
 """
 import subprocess
 import sys

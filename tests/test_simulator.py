@@ -2,12 +2,14 @@
 import numpy as np
 import pytest
 
+from rampc.baseline import make_baseline_config
 from rampc.controller import config_from_problem
 from rampc.report import make_manifest, trace_csv_text
 from rampc.simulator import (
     benchmark,
     benchmark_kernels,
     estimate_roa,
+    estimate_roa_baseline,
     simulate_closed_loop,
     simulate_rollout,
 )
@@ -110,6 +112,11 @@ def test_roa_parallel_matches_serial(quiet_scalar):
     prob, cfg = quiet_scalar
     serial = estimate_roa(prob.system, cfg, 6, jobs=1)
     parallel = estimate_roa(prob.system, cfg, 6, jobs=2)
+    np.testing.assert_array_equal(serial.feasible_mask, parallel.feasible_mask)
+    # the workers receive the controller class; the baseline's must pickle too
+    bcfg = make_baseline_config(prob.system, prob.K, prob.P, prob.R, prob.N)
+    serial = estimate_roa_baseline(prob.system, bcfg, 6, jobs=1)
+    parallel = estimate_roa_baseline(prob.system, bcfg, 6, jobs=2)
     np.testing.assert_array_equal(serial.feasible_mask, parallel.feasible_mask)
 
 
