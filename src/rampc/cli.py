@@ -26,7 +26,6 @@ from .errors import (
 from .report import make_manifest, set_picture_svg, write_report_json, write_svg, write_trace_csv
 from .simulator import (
     benchmark,
-    benchmark_kernels,
     estimate_roa,
     estimate_roa_baseline,
     simulate_closed_loop,
@@ -235,7 +234,6 @@ def cmd_bench(args):
     )
     x0 = _parse_x0(args.x0, prob.d) if args.x0 else None
     payload = benchmark(prob.system, cfg, horizons, args.reps, x0=x0)
-    payload["kernel_comparison"] = benchmark_kernels(prob.system, cfg, reps=max(5, args.reps // 3), x0=x0)
     write_report_json(args.out, payload, manifest)
     for row in payload["rows"]:
         print("N_t=%d  median %.6fs  mean %.6fs" % (row["N_t"], row["median_s"], row["mean_s"]))

@@ -1,9 +1,9 @@
 """Convex solve layer: LPs via HiGHS, QPs via the ADMM kernel.
 
 Every geometry LP and every MPC subproblem in the package routes through
-this layer.  The hot ADMM iteration loop has a compiled (Cython) kernel and
-a numpy fallback; the compiled one is selected automatically at import when
-available (see ``active_kernel``/``set_kernel``).
+this layer.  The ADMM iteration has one kernel: sparse (CSR) matrix-vector
+products and a sparse factor of the x-update matrix, computed once per step
+size and cached (``active_kernel`` names it).
 
 A QP solve runs ADMM until its residuals converge, verifies the iterate
 against the 1e-8 KKT conditions, tightens the tolerance once if that check
@@ -11,14 +11,7 @@ fails, and otherwise reports NUMERICAL_FAILURE.  Every OPTIMAL QP result is
 the verified ADMM iterate; INFEASIBLE is reported only with a Farkas
 certificate from an exact LP probe.
 """
-from .admm import (
-    ADMMSettings,
-    ParametricQP,
-    active_kernel,
-    available_kernels,
-    set_kernel,
-    solve_qp,
-)
+from .admm import ADMMSettings, ParametricQP, active_kernel, solve_qp
 from .lp import farkas_certificate, feasible_point, solve_lp, verify_farkas
 from .types import QuadraticProgram, SolveOutcome, SolveStatus
 
@@ -29,10 +22,8 @@ __all__ = [
     "SolveOutcome",
     "SolveStatus",
     "active_kernel",
-    "available_kernels",
     "farkas_certificate",
     "feasible_point",
-    "set_kernel",
     "solve_lp",
     "solve_qp",
     "verify_farkas",

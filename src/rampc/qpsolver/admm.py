@@ -6,11 +6,15 @@ The solver follows the standard scaled ADMM scheme for
 
 rewritten with a slack vector z and box bounds lo <= z <= up (equalities get
 lo = up).  A ``ParametricQP`` is prepared once for fixed (Q, G, A_eq) and
-solved repeatedly for varying (q, h, b_eq): the Ruiz equilibration and the
-KKT Cholesky factor are computed at preparation time and reused, which is
-what makes receding-horizon use cheap.  Each ``solve`` is a pure function of
-its arguments (iterates and step-size adaptation always restart from the
-same state), so repeated solves are bitwise reproducible.
+solved repeatedly for varying (q, h, b_eq): the Ruiz equilibration, the
+sparse (CSR) constraint matrices and the sparse factor of the x-update
+matrix P + sigma*I + A' diag(rho) A are computed at preparation time and
+reused, which is what makes receding-horizon use cheap.  The factor is a
+SuperLU factorization in a fill-reducing symmetric order without pivoting,
+which is exact for this symmetric positive definite matrix; one is kept per
+step size the loop has visited.  Each ``solve`` is a pure function of its
+arguments (iterates and step-size adaptation always restart from the same
+state), so repeated solves are bitwise reproducible.
 
 Accuracy model: the ADMM loop runs until its residuals converge to a
 moderate tolerance, then the unscaled iterate (inequality duals clipped at
@@ -28,38 +32,18 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from . import _kernel_py
 from .lp import feasible_point
 from .types import QuadraticProgram, SolveOutcome, SolveStatus
 
-try:  # compiled kernel is optional
-    from . import _kernel as _kernel_c
-except ImportError:  # pragma: no cover - depends on build environment
-    _kernel_c = None
-
-_KERNELS = {"numpy": _kernel_py.admm_batch}
-if _kernel_c is not None:
-    _KERNELS["cython"] = _kernel_c.admm_batch
-_active_kernel = "cython" if _kernel_c is not None else "numpy"
-
-
-def available_kernels():
-    return sorted(_KERNELS)
+KERNEL = "sparse"
 
 
 def active_kernel():
-    """Name of the iteration kernel selected at import (or via set_kernel)."""
-    return _active_kernel
-
-
-def set_kernel(name):
-    """Force a specific iteration kernel ("cython" or "numpy")."""
-    global _active_kernel
-    if name not in _KERNELS:
-        raise ValueError("unknown kernel %r; available: %s" % (name, available_kernels()))
-    _active_kernel = name
+    """Name of the ADMM iteration kernel (there is one: sparse factor and matvecs)."""
+    return KERNEL
 
 
 @dataclass(frozen=True)
@@ -116,6 +100,30 @@ def _ruiz_equilibrate(P, A, iters):
     return d, e, c
 
 
+def _admm_batch(lu, A, At, q, lo, up, rho, rho_inv, sigma, alpha, x, z, y, n_iter):
+    """Run ``n_iter`` ADMM iterations on the scaled problem.
+
+    Solves min 1/2 x'Px + q'x s.t. lo <= Ax <= up, given the factor ``lu`` of
+    P + sigma*I + A' diag(rho) A and A, A' in CSR form.  Returns the new
+    iterates and the last-iteration increments (x, z, y, dx, dy); the caller
+    uses the increments for infeasibility detection.
+    """
+    dx = np.zeros_like(x)
+    dy = np.zeros_like(y)
+    for _ in range(n_iter):
+        rhs = sigma * x - q + At @ (rho * z - y)
+        xt = lu.solve(rhs)
+        zt = A @ xt
+        x_new = alpha * xt + (1.0 - alpha) * x
+        ztmp = alpha * zt + (1.0 - alpha) * z + rho_inv * y
+        z_new = np.minimum(np.maximum(ztmp, lo), up)
+        y_new = rho * (ztmp - z_new)
+        np.subtract(x_new, x, out=dx)
+        np.subtract(y_new, y, out=dy)
+        x, z, y = x_new, z_new, y_new
+    return x, z, y, dx, dy
+
+
 def _quantize_rho(rho):
     # snap to powers of 10^(1/2) so the factor cache gets hits
     return float(10.0 ** (np.round(np.log10(rho) * 2.0) / 2.0))
@@ -136,19 +144,22 @@ class ParametricQP:
             A_eq = np.ascontiguousarray(np.atleast_2d(np.asarray(A_eq, dtype=float)))
             self.A_eq = A_eq
             self.m_eq = A_eq.shape[0]
-            self.A = np.vstack([G, A_eq]) if self.m_in else A_eq.copy()
+            A = np.vstack([G, A_eq]) if self.m_in else A_eq
         else:
             self.A_eq = None
             self.m_eq = 0
-            self.A = G.copy()
+            A = G
         self.m = self.m_in + self.m_eq
-        self.At = np.ascontiguousarray(self.A.T)
 
         s = self.settings
-        self.d, self.e, self.c = _ruiz_equilibrate(Q, self.A, s.ruiz_iters)
-        self.P_s = self.c * (Q * self.d[:, None] * self.d[None, :])
-        self.A_s = self.A * self.e[:, None] * self.d[None, :]
-        self.At_s = np.ascontiguousarray(self.A_s.T)
+        self.d, self.e, self.c = _ruiz_equilibrate(Q, A, s.ruiz_iters)
+        # unscaled A for the residuals and the equilibrated A_s for the loop
+        self.A = sp.csr_matrix(A)
+        self.At = self.A.T.tocsr()
+        self.A_s = sp.csr_matrix(A * self.e[:, None] * self.d[None, :])
+        self.At_s = self.A_s.T.tocsr()
+        self.P_s = sp.csc_matrix(self.c * (Q * self.d[:, None] * self.d[None, :]))
+        self._P_sigma = self.P_s + s.sigma * sp.identity(self.n, format="csc")
 
         rho = np.full(self.m, s.rho)
         rho[self.m_in :] *= s.rho_eq_scale
@@ -163,14 +174,21 @@ class ParametricQP:
         if hit is not None:
             return hit
         rho = self._base_rho * rho_scale
-        M = self.P_s + self.settings.sigma * np.eye(self.n)
+        M = self._P_sigma
         if self.m:
-            M = M + (self.At_s * rho) @ self.A_s
-        L = scipy.linalg.cholesky(M, lower=True, check_finite=False)
-        L = np.asfortranarray(L)
-        entry = (L, rho, 1.0 / rho)
+            M = (M + self.At_s @ sp.diags(rho) @ self.A_s).tocsc()
+        lu = splu(
+            M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        entry = (lu, rho, 1.0 / rho)
         self._factor_cache[key] = entry
         return entry
+
+    @property
+    def factor_nnz(self):
+        """Nonzeros of the lower-triangular factor at the base step size."""
+        return int(self._factor(1.0)[0].L.nnz)
 
     # -- residuals ---------------------------------------------------------
     def _unscale(self, x, z, y):
@@ -264,9 +282,9 @@ class ParametricQP:
         lo_s = self.e * lo
         up_s = self.e * up
 
-        kernel = _KERNELS[_active_kernel]
         rho_scale = 1.0
-        L, rho, rho_inv = self._factor(rho_scale)
+        n_factors = len(self._factor_cache)  # the cache only grows: misses = growth
+        lu, rho, rho_inv = self._factor(rho_scale)
         x = np.zeros(self.n)
         z = np.zeros(self.m)
         y = np.zeros(self.m)
@@ -277,14 +295,18 @@ class ParametricQP:
         eps_abs, eps_rel = s.eps_abs, s.eps_rel
         tightened = False
 
-        def finish(status, **kw):
-            out = SolveOutcome(status=status, backend=_active_kernel, iterations=iters, **kw)
+        def finish(status, diagnostics=(), **kw):
+            diag = {"tightened": tightened, "factorizations": len(self._factor_cache) - n_factors}
+            diag.update(diagnostics)
+            out = SolveOutcome(
+                status=status, backend=KERNEL, iterations=iters, diagnostics=diag, **kw
+            )
             out.solve_time = time.perf_counter() - t0
             return out
 
         while iters < s.max_iter:
-            x, z, y, dx, dy = kernel(
-                L, self.A_s, self.At_s, q_s, lo_s, up_s, rho, rho_inv,
+            x, z, y, dx, dy = _admm_batch(
+                lu, self.A_s, self.At_s, q_s, lo_s, up_s, rho, rho_inv,
                 s.sigma, s.alpha, x, z, y, s.check_every,
             )
             iters += s.check_every
@@ -330,7 +352,7 @@ class ParametricQP:
                 new_scale = min(max(new_scale, 1e-4), 1e4)
                 if new_scale != rho_scale and (new_scale > 5 * rho_scale or new_scale < rho_scale / 5):
                     rho_scale = new_scale
-                    L, rho, rho_inv = self._factor(rho_scale)
+                    lu, rho, rho_inv = self._factor(rho_scale)
         # iteration cap: settle feasibility exactly, then give up honestly
         feas, cert = feasible_point(self.G, h, self.A_eq, b if self.m_eq else None)
         if feas is False and cert is not None:

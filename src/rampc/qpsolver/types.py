@@ -97,7 +97,10 @@ class SolveOutcome:
     {"y": ..., "nu": ...} with y >= 0, G'y + A'nu = 0 and h'y + b'nu < 0.
     ``polished`` is always False: no solver refines its result after
     convergence.  The field stays because the benchmark's tracing
-    (``perfbench/tracing.py``) reads it.
+    (``perfbench/tracing.py``) reads it.  Every ADMM solve fills
+    ``diagnostics`` with ``tightened`` (whether the 1e-10 retry ran) and
+    ``factorizations`` (factor-cache misses during this solve); an UNBOUNDED
+    result adds the normalized ``ray``.
     """
 
     status: SolveStatus

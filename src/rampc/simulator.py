@@ -24,7 +24,7 @@ from .controller import (
 )
 from .errors import SolverNumericalError
 from .geometry import PointCloudHull2D, hull_2d
-from .qpsolver import SolveStatus, active_kernel, available_kernels, set_kernel
+from .qpsolver import SolveStatus, active_kernel
 from .system import UncertainSystem, UncertaintyRealization
 
 MARGIN_TOL = 1e-6
@@ -333,6 +333,7 @@ def benchmark(sys: UncertainSystem, cfg: MPCConfig, horizons, reps: int, x0=None
                 "statuses": statuses[n],
                 "n_variables": tpl.n_vars,
                 "n_constraints": tpl.G.shape[0],
+                "factor_nnz": ctl.solvers[n].factor_nnz,
                 "reference_time_s": REFERENCE_TIMES_S.get(n),
             }
         )
@@ -344,31 +345,3 @@ def benchmark(sys: UncertainSystem, cfg: MPCConfig, horizons, reps: int, x0=None
         "kernel": active_kernel(),
         "rows": rows,
     }
-
-
-def benchmark_kernels(sys: UncertainSystem, cfg: MPCConfig, reps: int = 20, x0=None) -> dict:
-    """Compare the compiled and numpy ADMM kernels on the horizon bank."""
-    x = np.zeros(sys.d) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
-    current = active_kernel()
-    results = {}
-    try:
-        for kernel in available_kernels():
-            set_kernel(kernel)
-            ctl = AdaptiveController(sys, cfg)
-            times = []
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                ctl.solve(x)
-                times.append(time.perf_counter() - t0)
-            results[kernel] = {
-                "median_solve_s": float(np.median(times)),
-                "mean_solve_s": float(np.mean(times)),
-                "reps": reps,
-            }
-    finally:
-        set_kernel(current)
-    if "cython" in results and "numpy" in results:
-        results["speedup_cython_vs_numpy"] = (
-            results["numpy"]["median_solve_s"] / results["cython"]["median_solve_s"]
-        )
-    return results

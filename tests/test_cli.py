@@ -141,4 +141,5 @@ def test_bench_cmd(scalar_file, tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert [r["N_t"] for r in doc["rows"]] == [1, 2]
-    assert "kernel_comparison" in doc
+    assert all(r["factor_nnz"] >= r["n_variables"] for r in doc["rows"])
+    assert "kernel_comparison" not in doc

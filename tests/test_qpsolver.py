@@ -2,12 +2,11 @@
 import numpy as np
 import pytest
 
+from rampc.baseline import BaselineController, make_baseline_config
 from rampc.qpsolver import (
+    ParametricQP,
     QuadraticProgram,
     SolveStatus,
-    active_kernel,
-    available_kernels,
-    set_kernel,
     solve_lp,
     solve_qp,
     verify_farkas,
@@ -150,28 +149,41 @@ def test_farkas_on_random_infeasible_systems():
         assert verify_farkas(G, h, None, None, out.farkas)
 
 
-@pytest.mark.skipif(len(available_kernels()) < 2, reason="compiled kernel unavailable")
-def test_kernel_parity():
-    rng = np.random.default_rng(5)
-    n = 15
-    A = rng.normal(size=(n, n))
-    Q = A.T @ A + 0.1 * np.eye(n)
-    q = rng.normal(size=n)
-    G = np.vstack([np.eye(n), -np.eye(n)])
-    h = np.ones(2 * n)
-    prog = QuadraticProgram(Q=Q, q=q, G_ineq=G, h_ineq=h)
-    current = active_kernel()
-    try:
-        results = {}
-        for kernel in available_kernels():
-            set_kernel(kernel)
-            results[kernel] = solve_qp(prog)
-    finally:
-        set_kernel(current)
-    a, b = results["cython"], results["numpy"]
-    assert a.status == b.status == SolveStatus.OPTIMAL
-    assert abs(a.objective - b.objective) < 1e-8
-    np.testing.assert_allclose(a.x_opt, b.x_opt, atol=1e-7)
+def test_factor_solves_dense_x_update_system(default_problem, default_cfg, default_controller):
+    # every horizon QP of both banks, at the base step size and at both clamps
+    prob = default_problem
+    bcfg = make_baseline_config(prob.system, prob.K, prob.P, prob.R, prob.N, bound=default_cfg.bound)
+    baseline = BaselineController(prob.system, bcfg)
+    solvers = list(default_controller.solvers.values()) + list(baseline.solvers.values())
+    rng = np.random.default_rng(13)
+    for solver in solvers:
+        A_s = solver.A_s.toarray()
+        for scale in (1e-4, 1.0, 1e4):
+            lu, rho, _ = solver._factor(scale)
+            M = solver.P_s.toarray() + solver.settings.sigma * np.eye(solver.n) + (A_s.T * rho) @ A_s
+            b = rng.normal(size=solver.n)
+            residual = np.linalg.norm(M @ lu.solve(b) - b)
+            assert residual <= 1e-10 * np.linalg.norm(b), (solver.n, scale, residual)
+
+
+def test_diagnostics_report_tightening_and_factorizations(default_controller):
+    def fresh(n):  # a solver whose factor cache holds only the base step size
+        tpl = default_controller.templates[n]
+        return tpl, ParametricQP(tpl.Q, tpl.G, settings=default_controller.solvers[n].settings)
+
+    # N_t = 1 at (3, -2): the 1e-6 stop misses the 1e-8 KKT check and is tightened
+    tpl, solver = fresh(1)
+    out = solver.solve(*tpl.parts(np.array([3.0, -2.0])))
+    assert out.is_optimal and out.diagnostics["tightened"] is True
+    tpl, solver = fresh(5)
+    out = solver.solve(*tpl.parts(np.array([3.0, -2.0])))
+    assert out.is_optimal and out.diagnostics == {"tightened": False, "factorizations": 0}
+    # N_t = 5 at (-4, -4) changes the step size; a re-solve finds its factor cached
+    q, h = tpl.parts(np.array([-4.0, -4.0]))
+    first, again = solver.solve(q, h), solver.solve(q, h)
+    assert first.is_optimal and first.diagnostics["factorizations"] >= 1
+    assert again.diagnostics["factorizations"] == 0
+    assert np.array_equal(first.x_opt, again.x_opt)
 
 
 def test_psd_validation_rejects_indefinite():
