@@ -16,7 +16,13 @@ horizon).  The horizons are tried longest first, and a horizon is solved
 only if its exact lower bound x' S_n x -- the unconstrained minimum of its
 cost over the nominal inputs, with S_n prepared once per horizon -- does not
 exceed the best cost so far; a skipped horizon could not have won, so the
-selection is the same as solving every horizon.  Terminal ingredients: a robust
+selection is the same as solving every horizon.  Each horizon's feasible set
+F_n = {x : exists z, G z <= h_base - R x} does not depend on x; on the
+horizon's first INFEASIBLE verdict its facets are computed once by support
+LPs (``geometry.projection_cuts``, exact in 2-d) and stored with their LP
+multipliers, and from then on a state outside a stored facet by more than a
+1e-7 margin is settled INFEASIBLE in microseconds, with that facet's
+multiplier as its Farkas certificate.  Terminal ingredients: a robust
 positive invariant terminal set computed with the exact vertex uncertainty,
 and a terminal cost from the closed-loop Lyapunov series, which makes the
 descent inequality hold with equality globally.
@@ -36,12 +42,15 @@ from .errors import (
     LyapunovDivergenceError,
     VertexUnstableError,
 )
-from .geometry import Polytope, max_robust_invariant, support
+from .geometry import Polytope, max_robust_invariant, projection_cuts, support
 from .prediction import FeedbackGainStack, build_stacked, policy_input
-from .qpsolver import ADMMSettings, ParametricQP, QuadraticProgram, SolveStatus
+from .qpsolver import ADMMSettings, ParametricQP, QuadraticProgram, SolveOutcome, SolveStatus
 from .system import NetAdditiveBound, UncertainSystem, net_additive_bound
 
 _EQ19_TOL = 1e-8
+# a stored facet settles a state only when it is violated by more than
+# _FACET_MARGIN * (1 + |offset|); nearer states take the QP path
+_FACET_MARGIN = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +530,30 @@ class AdaptiveController:
             for n, tpl in templates.items()
         }
         self.bound_maps = {n: _bound_map(tpl) for n, tpl in templates.items()}
+        # horizon -> geometry.ProjectionCuts of F_n, built on its first INFEASIBLE verdict
+        self.feasible_sets = {}
+
+    def _facet_verdict(self, n, x):
+        """INFEASIBLE outcome when x lies outside a stored facet of F_n, else None.
+
+        The certificate is the multiplier of the most violated facet (the
+        first on ties), so it depends on x and the stored facets only.
+        """
+        cuts = self.feasible_sets.get(n)
+        if not cuts:
+            return None
+        t0 = time.perf_counter()
+        g = cuts.offsets - cuts.normals @ x
+        i = int(np.argmin(g))
+        if g[i] >= -_FACET_MARGIN * (1.0 + abs(cuts.offsets[i])):
+            return None
+        return SolveOutcome(
+            status=SolveStatus.INFEASIBLE,
+            farkas={"y": cuts.Y[i], "nu": np.zeros(0), "gap": float(g[i])},
+            backend="facets",
+            diagnostics={"facet": i, "tightened": False, "factorizations": 0},
+            solve_time=time.perf_counter() - t0,
+        )
 
     def solve(self, x_t) -> MPCSolution:
         """Minimum-cost feasible horizon at x_t, ties to the shortest.
@@ -531,6 +564,16 @@ class AdaptiveController:
         win, and the selection equals that of solving every horizon.
         Nothing is skipped until some horizon is feasible, so an
         all-infeasible result still carries every horizon's verdict.
+
+        A horizon that is not skipped is first tested against the stored
+        facets of its feasible set F_n: a state outside one by more than the
+        margin is INFEASIBLE at once (``backend="facets"``, the facet's
+        multiplier as certificate).  Every other state, including those
+        within the margin, runs the ADMM solve with its HiGHS-confirmed
+        infeasibility path.  The first INFEASIBLE verdict of a horizon
+        builds its facets and is then taken again from them when x lies
+        beyond the margin of one, so a certificate never depends on the
+        order in which states were visited.
         """
         x = np.asarray(x_t, dtype=float).reshape(-1)
         per = []
@@ -545,8 +588,13 @@ class AdaptiveController:
                     HorizonResult(n, None, None, time.perf_counter() - t0, pruned=True, bound=bound)
                 )
                 continue
-            q, h = tpl.parts(x)
-            out = self.solvers[n].solve(q, h)
+            out = self._facet_verdict(n, x)
+            if out is None:
+                q, h = tpl.parts(x)
+                out = self.solvers[n].solve(q, h)
+                if out.status is SolveStatus.INFEASIBLE and n not in self.feasible_sets:
+                    self.feasible_sets[n] = projection_cuts(tpl.G, tpl._rhs_map, tpl._h_base)
+                    out = self._facet_verdict(n, x) or out
             elapsed = time.perf_counter() - t0
             if out.status is SolveStatus.OPTIMAL:
                 J = out.objective + tpl.constant(x)

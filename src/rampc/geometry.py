@@ -3,12 +3,15 @@
 Everything here works on sets of the form {x : Hx <= h}: constraint sets,
 disturbance supports and invariant sets.  Robustification only ever needs
 support functions, so no vertex enumeration is required (a small 2-d
-enumerator exists for plotting and polygon metrics).  Inclusion and
+enumerator exists for plotting and polygon metrics).  ``projection_cuts``
+outer-bounds the projection of a lifted set {(x, z) : G z + R x <= h} onto
+x by support LPs, exactly in one and two dimensions.  Inclusion and
 fixed-point tests use an absolute tolerance of 1e-7 on facet offsets, one
 order above the LP layer's 1e-8 accuracy.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +26,9 @@ from .errors import (
 from .qpsolver import SolveStatus, solve_lp
 
 FACET_TOL = 1e-7
+# cap on the support LPs of one projection_cuts build: a guard against
+# rounding that keeps finding new points on a nearly straight edge
+_MAX_SUPPORT_LPS = 500
 
 
 class Polytope:
@@ -253,6 +259,99 @@ def max_robust_invariant(
             return nxt
         omega = nxt
     raise ConvergenceError("invariant-set iteration did not converge in %d steps" % max_iter)
+
+
+@dataclass(frozen=True)
+class ProjectionCuts:
+    """Valid cuts of F = {x : exists z, G z + R x <= h}, each with its LP dual.
+
+    Cut i is ``normals[i] @ x <= offsets[i]`` with ``normals = Y @ R`` and
+    ``offsets = Y @ h``.  Every row y of ``Y`` has y >= 0, sum(y) = 1 and
+    ||G'y||_inf <= 1e-9, so at a state x with ``offsets[i] - normals[i] @ x
+    < 0`` it is a Farkas certificate that {z : G z <= h - R x} is empty.
+    ``n_lps`` support LPs found them in ``seconds``.
+    """
+
+    Y: np.ndarray
+    normals: np.ndarray
+    offsets: np.ndarray
+    n_lps: int
+    seconds: float
+
+    def __len__(self):
+        return len(self.offsets)
+
+
+def projection_cuts(G, R, h) -> ProjectionCuts:
+    """Cuts of the projection of {(x, z) : G z + R x <= h} onto x, by support LPs.
+
+    Each LP maximizes c'x over the lifted set; its dual y (G'y = 0, R'y = c,
+    y >= 0), normalized to sum(y) = 1, gives the cut (R'y)'x <= h'y.  The
+    directions are +-e_i; in 2-d the polygon of support points is then
+    refined edge by edge (each edge's outward normal is probed until no
+    edge moves by more than FACET_TOL), so the cuts describe F exactly in
+    one and two dimensions and outer-bound it in more.  A support LP that is
+    not OPTIMAL (F empty or unbounded) ends the build with the cuts found so
+    far; a dual with ||G'y||_inf > 1e-9 is dropped.
+    """
+    t0 = time.perf_counter()
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    R = np.atleast_2d(np.asarray(R, dtype=float))
+    h = np.asarray(h, dtype=float).reshape(-1)
+    d = R.shape[1]
+    lifted = np.hstack([R, G])
+    pad = np.zeros(G.shape[1])
+    ys = []
+    n_lps = 0
+
+    def support_point(c):
+        """x-part of the maximizer of c'x over the lifted set, or None."""
+        nonlocal n_lps
+        n_lps += 1
+        out = solve_lp(np.concatenate([-c, pad]), lifted, h)
+        if out.status is not SolveStatus.OPTIMAL:
+            return None
+        y = np.maximum(out.y_ineq, 0.0)
+        total = y.sum()
+        if total > 0.0:
+            y = y / total
+            if np.max(np.abs(G.T @ y), initial=0.0) <= 1e-9:
+                ys.append(y)
+        return out.x_opt[:d]
+
+    def result():
+        Y = np.array(ys).reshape(-1, len(h))
+        arrays = (Y, Y @ R, Y @ h)
+        for a in arrays:
+            a.setflags(write=False)
+        return ProjectionCuts(*arrays, n_lps=n_lps, seconds=time.perf_counter() - t0)
+
+    axes = np.eye(d)
+    # +e_1, +e_2, -e_1, -e_2 in 2-d: the support points come out counter-clockwise
+    directions = [axes[0], axes[1], -axes[0], -axes[1]] if d == 2 else list(np.vstack([axes, -axes]))
+    ring = []
+    for c in directions:
+        p = support_point(c)
+        if p is None:
+            return result()
+        if not ring or np.max(np.abs(p - ring[-1])) > FACET_TOL:
+            ring.append(p)
+    if d != 2:
+        return result()
+    if len(ring) > 1 and np.max(np.abs(ring[0] - ring[-1])) <= FACET_TOL:
+        ring.pop()
+    # counter-clockwise edges (a, b) still to confirm, kept in ring order
+    edges = [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))] if len(ring) > 1 else []
+    while edges and n_lps < _MAX_SUPPORT_LPS:
+        a, b = edges.pop(0)
+        normal = np.array([b[1] - a[1], a[0] - b[0]])
+        normal /= np.max(np.abs(normal))
+        p = support_point(normal)
+        if p is None:
+            break
+        if normal @ p > normal @ a + FACET_TOL:
+            edges[:0] = [(a, p), (p, b)]
+    return result()
 
 
 def hull_2d(points) -> PointCloudHull2D:

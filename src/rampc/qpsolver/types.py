@@ -94,7 +94,11 @@ class SolveOutcome:
     When status is OPTIMAL, ``x_opt`` satisfies the constraints to 1e-8 and
     ``objective`` equals 1/2 x'Qx + q'x (c'x for LPs) evaluated at ``x_opt``.
     When status is INFEASIBLE, ``farkas`` holds a verified certificate
-    {"y": ..., "nu": ...} with y >= 0, G'y + A'nu = 0 and h'y + b'nu < 0.
+    {"y": ..., "nu": ..., "gap": ...} with y >= 0, G'y + A'nu = 0 and
+    gap = h'y + b'nu < 0.  ``backend`` names what produced the outcome:
+    "highs" for the LP layer, "sparse" for the ADMM solver and "facets" for
+    an INFEASIBLE verdict a controller read off a stored facet of a
+    horizon's feasible set (``diagnostics["facet"]`` is its index).
     ``polished`` is always False: no solver refines its result after
     convergence.  The field stays because the benchmark's tracing
     (``perfbench/tracing.py``) reads it.  Every ADMM solve fills

@@ -22,7 +22,7 @@ from rampc.errors import (
     HistoryLengthMismatchError,
     VertexUnstableError,
 )
-from rampc.geometry import Polytope, is_subset
+from rampc.geometry import Polytope, is_subset, vertices_2d
 from rampc.prediction import FeedbackGainStack, build_stacked
 from rampc.qpsolver import SolveStatus, solve_qp
 from rampc.simulator import simulate_closed_loop
@@ -483,6 +483,182 @@ class TestPruning:
         pruned = [e for e in entries if e["status"] == "pruned"]
         assert pruned and all(e["cost"] is None and e["bound"] > sol.J_star for e in pruned)
         assert entries[-1]["status"] == "optimal"
+
+
+# ---------------------------------------------------------------------------
+# stored feasible-set facets settle infeasible horizons
+# ---------------------------------------------------------------------------
+
+
+def _count_qp_solves(monkeypatch, ctl):
+    """Per-horizon count of ParametricQP.solve calls made by ``ctl``."""
+    calls = dict.fromkeys(ctl.solvers, 0)
+    for n, solver in ctl.solvers.items():
+        def counted(q, h, b_eq=None, n=n, solve=solver.solve):
+            calls[n] += 1
+            return solve(q, h, b_eq)
+
+        monkeypatch.setattr(solver, "solve", counted)
+    return calls
+
+
+def _no_lp(monkeypatch):
+    """Make every LP entry point of the controller path raise."""
+    from rampc import geometry
+    from rampc.qpsolver import admm
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an LP was called")
+
+    monkeypatch.setattr(geometry, "solve_lp", forbidden)
+    monkeypatch.setattr(admm, "feasible_point", forbidden)
+
+
+def _offset_point(cuts, i, x, violation):
+    """x moved along facet i's normal so that its slack there is ``-violation``."""
+    a, b = cuts.normals[i], cuts.offsets[i]
+    return x + (violation + b - a @ x) * a / (a @ a)
+
+
+class TestFeasibleSetFacets:
+    @pytest.mark.parametrize("bank", ["adaptive", "baseline"])
+    def test_second_pass_verdicts_equal_exhaustive_reference(self, bank, bank_cases):
+        # once every set is built, each solved horizon's verdict is the
+        # per-solver reference's, and the grid's infeasible horizons are all
+        # settled by a stored facet
+        ctl, cases = bank_cases[bank]
+        assert set(ctl.feasible_sets) == set(ctl.templates)
+        settled = 0
+        for x, _, (status, n_star, J_star, _, _, outcomes) in cases["grid"]:
+            sol = ctl.solve(x)
+            assert (sol.status, sol.N_star, sol.J_star) == (status, n_star, J_star), x
+            for r in sol.per_horizon:
+                if not r.pruned:
+                    assert r.status is outcomes[r.N_t].status, (x, r.N_t)
+                    settled += r.status is SolveStatus.INFEASIBLE
+                    if r.status is SolveStatus.INFEASIBLE:
+                        assert ctl._facet_verdict(r.N_t, x) is not None, (x, r.N_t)
+        assert settled > 0
+
+    @pytest.mark.parametrize("bank", ["adaptive", "baseline"])
+    def test_every_infeasible_certificate_verifies(self, bank, bank_cases):
+        from rampc.qpsolver import verify_farkas
+
+        # the controller's certificates (facet multipliers once a set is
+        # built) and the QP path's own (the per-solver reference)
+        ctl, cases = bank_cases[bank]
+        checked = 0
+        for xs in cases.values():
+            for x, sol, (*_, outcomes) in xs:
+                certs = [(r.N_t, r.farkas) for r in sol.per_horizon if r.status is SolveStatus.INFEASIBLE]
+                certs += [(n, o.farkas) for n, o in outcomes.items() if o.status is SolveStatus.INFEASIBLE]
+                for n, cert in certs:
+                    tpl = ctl.templates[n]
+                    _, h = tpl.parts(x)
+                    assert verify_farkas(tpl.G, h, None, None, cert), (x, n)
+                    checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("bank", ["adaptive", "baseline"])
+    def test_certificates_do_not_depend_on_visit_order(self, bank, bank_cases):
+        # a feasible horizon builds nothing, so only the grid points with an
+        # infeasible horizon are visited
+        ctl, cases = bank_cases[bank]
+        grid = [
+            x for x, _, (*_, outcomes) in cases["grid"]
+            if any(o.status is SolveStatus.INFEASIBLE for o in outcomes.values())
+        ]
+        runs = []
+        for order in (grid, grid[::-1]):
+            fresh = type(ctl)(ctl.sys, ctl.cfg)
+            runs.append({tuple(x): fresh.solve(x) for x in order})
+        compared = 0
+        for key, sol in runs[0].items():
+            other = runs[1][key]
+            assert sol.status is other.status
+            for r, s in zip(sol.per_horizon, other.per_horizon):
+                assert r.status is s.status
+                if r.status is SolveStatus.INFEASIBLE:
+                    assert np.array_equal(r.farkas["y"], s.farkas["y"]), (key, r.N_t)
+                    compared += 1
+        assert compared > 0
+
+    def test_margin_decides_between_facet_and_qp(self, monkeypatch, bank_cases):
+        # the longest horizon is never pruned: a state just inside the margin
+        # of a stored facet reaches ParametricQP.solve, one beyond it does not
+        ctl, _ = bank_cases["baseline"]
+        n = max(ctl.templates)
+        cuts = ctl.feasible_sets[n]
+        verts = vertices_2d(Polytope(cuts.normals, cuts.offsets))
+        mid = 0.5 * (verts[0] + verts[1])
+        i = int(np.argmin(cuts.offsets - cuts.normals @ mid))
+        margin = controller._FACET_MARGIN * (1.0 + abs(cuts.offsets[i]))
+        calls = _count_qp_solves(monkeypatch, ctl)
+        inside = _offset_point(cuts, i, mid, 0.5 * margin)
+        assert ctl._facet_verdict(n, inside) is None
+        ctl.solve(inside)
+        assert calls[n] == 1
+        outside = _offset_point(cuts, i, mid, 2.0 * margin)
+        out = ctl._facet_verdict(n, outside)
+        assert out is not None and out.diagnostics["facet"] == i
+        sol = ctl.solve(outside)
+        assert calls[n] == 1 and sol.status is SolveStatus.INFEASIBLE
+
+    def test_facet_outcome_diagnostics(self, bank_cases):
+        ctl, _ = bank_cases["adaptive"]
+        x = np.array([50.0, 50.0])
+        for n, cuts in ctl.feasible_sets.items():
+            out = ctl._facet_verdict(n, x)
+            assert out.status is SolveStatus.INFEASIBLE and out.backend == "facets"
+            assert out.iterations == 0
+            i = out.diagnostics["facet"]
+            assert out.diagnostics == {"facet": i, "tightened": False, "factorizations": 0}
+            g = cuts.offsets - cuts.normals @ x
+            assert i == int(np.argmin(g)) and out.farkas["gap"] == g[i]
+            assert out.farkas["y"] is not None and out.farkas["nu"].size == 0
+            # the build's own record
+            assert len(cuts) > 0 and cuts.n_lps >= len(cuts) and cuts.seconds > 0.0
+        rep = ctl.solve(x).report()
+        assert all(set(e) == {"N_t", "status", "cost", "bound", "solve_time"} for e in rep["per_horizon"])
+
+    def test_feasible_closed_loop_builds_no_set_and_calls_no_lp(
+        self, monkeypatch, default_problem, default_cfg
+    ):
+        ctl = AdaptiveController(default_problem.system, default_cfg)
+        _no_lp(monkeypatch)
+        real = sample_realization(default_problem.system, 10, seed=0)
+        trace = simulate_closed_loop(
+            default_problem.system, default_cfg, X0_SET[0], 10, real, controller=ctl
+        )
+        assert trace.completed == 10 and trace.clean
+        assert ctl.feasible_sets == {}
+
+    def test_scalar_far_state_settled_by_stored_cut(self, monkeypatch):
+        # the scalar system of TestCase1::test_far_state_infeasible: the 1-d
+        # feasible set is an interval, and its two cuts describe it exactly
+        from rampc.controller import MPCConfig
+        from rampc.system import net_additive_bound
+
+        sys = _scalar_sys(w=0.1)
+        term = synthesize_terminal(sys, [[-0.5]], [[1.0]], [[1.0]], hull_samples=10)
+        cfg = MPCConfig(P=[[1.0]], R=[[1.0]], N=1, terminal=term, bound=net_additive_bound(sys))
+        ctl = AdaptiveController(sys, cfg)
+        x = np.array([50.0])
+        assert ctl.solve(x).status is SolveStatus.INFEASIBLE
+        cuts = ctl.feasible_sets[1]
+        assert len(cuts) == cuts.n_lps == 2
+        calls = _count_qp_solves(monkeypatch, ctl)
+        _no_lp(monkeypatch)
+        assert ctl.solve(x).status is SolveStatus.INFEASIBLE
+        assert calls[1] == 0 and ctl._facet_verdict(1, x).backend == "facets"
+        lo, hi = sorted(cuts.offsets / cuts.normals[:, 0])
+        assert lo < 0.0 < hi
+        monkeypatch.undo()
+        for edge in (lo, hi):
+            inward = edge - 1e-6 * np.sign(edge)
+            outward = edge + 1e-6 * np.sign(edge)
+            assert ctl.solve(np.array([inward])).status is SolveStatus.OPTIMAL
+            assert ctl._facet_verdict(1, np.array([outward])) is not None
 
 
 def test_free_function_caches_hold_one_entry(default_problem, default_cfg):

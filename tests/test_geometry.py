@@ -11,6 +11,7 @@ from rampc.geometry import (
     is_subset,
     max_robust_invariant,
     pre_set,
+    projection_cuts,
     remove_redundant,
     shoelace_area,
     support,
@@ -269,3 +270,71 @@ def test_serialization_roundtrip():
     assert is_subset(P, UNIT_BOX) and is_subset(UNIT_BOX, P)
     d2 = Polytope([[1.0, 0.0]], [2.0]).to_dict()
     assert set(d2) == {"H", "h"}
+
+
+class TestProjectionCuts:
+    """Projection of {(x, z) : G z + R x <= h} onto x by support LPs."""
+
+    @staticmethod
+    def _lifted_copy(H, h):
+        # x = z with z in {H z <= h}: the projection onto x is {H x <= h}
+        d = H.shape[1]
+        eye = np.eye(d)
+        R = np.vstack([eye, -eye, np.zeros_like(H)])
+        G = np.vstack([-eye, eye, H])
+        return G, R, np.concatenate([np.zeros(2 * d), h])
+
+    @staticmethod
+    def _check_multipliers(cuts, G, R, h):
+        assert np.all(cuts.Y >= 0.0)
+        np.testing.assert_allclose(cuts.Y.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.max(np.abs(cuts.Y @ G)) <= 1e-9
+        np.testing.assert_array_equal(cuts.normals, cuts.Y @ R)
+        np.testing.assert_array_equal(cuts.offsets, cuts.Y @ h)
+
+    def test_hexagon_is_exact_in_2d(self):
+        angles = np.arange(6) * np.pi / 3 + 0.1
+        H = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        h = np.array([1.0, 2.0, 1.5, 1.0, 2.0, 1.5])
+        G, R, hl = self._lifted_copy(H, h)
+        cuts = projection_cuts(G, R, hl)
+        self._check_multipliers(cuts, G, R, hl)
+        got = vertices_2d(Polytope(cuts.normals, cuts.offsets))
+        want = vertices_2d(Polytope(H, h))
+        assert len(got) == len(want) == 6
+        np.testing.assert_allclose(got, want, atol=1e-9)
+        # four axis LPs, then one LP per edge confirmed and one per vertex found
+        assert cuts.n_lps == len(cuts) == 12
+        assert cuts.seconds > 0.0
+
+    def test_interval_is_exact_in_1d(self):
+        G, R, h = self._lifted_copy(np.array([[1.0], [-1.0]]), np.array([2.0, 3.0]))
+        cuts = projection_cuts(G, R, h)
+        self._check_multipliers(cuts, G, R, h)
+        assert cuts.n_lps == len(cuts) == 2
+        np.testing.assert_allclose(cuts.offsets / np.abs(cuts.normals[:, 0]), [2.0, 3.0], atol=1e-12)
+
+    def test_outer_box_in_3d(self):
+        # the octahedron |x1| + |x2| + |x3| <= 1 gets its bounding box
+        signs = np.array([[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)], float)
+        G, R, h = self._lifted_copy(signs, np.ones(8))
+        cuts = projection_cuts(G, R, h)
+        self._check_multipliers(cuts, G, R, h)
+        assert cuts.n_lps == len(cuts) == 6
+        box = Polytope(cuts.normals, cuts.offsets)
+        assert is_subset(Polytope(signs, np.ones(8)), box)
+        for j in range(3):
+            e = np.zeros(3)
+            e[j] = 1.0
+            assert support(box, e) == pytest.approx(1.0, abs=1e-9)
+
+    def test_empty_or_unbounded_set_ends_the_build(self):
+        # empty: the first support LP is infeasible and no cut is kept
+        G, R, h = self._lifted_copy(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, -1.0]))
+        cuts = projection_cuts(G, R, h)
+        assert len(cuts) == 0 and cuts.n_lps == 1 and not cuts
+        # unbounded towards -e_1: the cuts found before that direction stay
+        G, R, h = self._lifted_copy(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.ones(3))
+        cuts = projection_cuts(G, R, h)
+        assert cuts.n_lps == 3 and len(cuts) == 2
+        assert np.all(cuts.normals @ np.array([1.0, 1.0]) <= cuts.offsets + 1e-9)
