@@ -607,6 +607,7 @@ class TestFeasibleSetFacets:
     def test_facet_outcome_diagnostics(self, bank_cases):
         ctl, _ = bank_cases["adaptive"]
         x = np.array([50.0, 50.0])
+        assert set(ctl.feasible_sets) == set(ctl.templates)
         for n, cuts in ctl.feasible_sets.items():
             out = ctl._facet_verdict(n, x)
             assert out.status is SolveStatus.INFEASIBLE and out.backend == "facets"
@@ -615,7 +616,7 @@ class TestFeasibleSetFacets:
             assert out.diagnostics == {"facet": i, "tightened": False, "factorizations": 0}
             g = cuts.offsets - cuts.normals @ x
             assert i == int(np.argmin(g)) and out.farkas["gap"] == g[i]
-            assert out.farkas["y"] is not None and out.farkas["nu"].size == 0
+            assert np.array_equal(out.farkas["y"], cuts.Y[i]) and out.farkas["nu"].size == 0
             # the build's own record
             assert len(cuts) > 0 and cuts.n_lps >= len(cuts) and cuts.seconds > 0.0
         rep = ctl.solve(x).report()
