@@ -23,8 +23,8 @@ LPs (``geometry.projection_cuts``, exact in 2-d) and stored with their LP
 multipliers, and from then on a state outside a stored facet by more than a
 1e-7 margin is settled INFEASIBLE in microseconds, with that facet's
 multiplier as its Farkas certificate.  Terminal ingredients: a robust
-positive invariant terminal set computed with the exact vertex uncertainty,
-and a terminal cost from the closed-loop Lyapunov series, which makes the
+positive invariant terminal set computed with the exact vertex uncertainty
+(and rechecked by LP), and a terminal cost from the closed-loop Lyapunov series, which makes the
 descent inequality hold with equality globally.
 """
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import (
     LyapunovDivergenceError,
     VertexUnstableError,
 )
-from .geometry import Polytope, max_robust_invariant, projection_cuts, support
+from .geometry import Polytope, max_robust_invariant, projection_cuts, support, support_lp
 from .prediction import FeedbackGainStack, build_stacked, policy_input
 from .qpsolver import ADMMSettings, ParametricQP, QuadraticProgram, SolveOutcome, SolveStatus
 from .system import NetAdditiveBound, UncertainSystem, net_additive_bound
@@ -96,7 +96,10 @@ def synthesize_terminal(
 
     The vertex screen is exact; hull-interior stability is only sampled
     (certifying it needs machinery that is out of scope here), so failures
-    of either screen raise loudly.
+    of either screen raise loudly.  The set's invariance is then rechecked
+    by one support LP per facet and vertex closed loop, not from the vertex
+    cache that synthesis used, so the terminal set carries an LP
+    certificate.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     P = np.atleast_2d(np.asarray(P, dtype=float))
@@ -155,9 +158,10 @@ def synthesize_terminal(
 
 
 def _recheck_invariance(X_N, cl_vertices, W, tol=1e-7):
+    """LP certificate that X_N is robustly invariant, independent of its vertex cache."""
     for A in cl_vertices:
         for row, off in zip(X_N.H, X_N.h):
-            worst = support(X_N, A.T @ row) + support(W, row)
+            worst = support_lp(X_N, A.T @ row) + support(W, row)
             if worst > off + tol:
                 raise ConvergenceError(
                     "terminal set fails its invariance recheck (violation %.2e)"

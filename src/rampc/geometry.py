@@ -1,21 +1,26 @@
-"""H-representation polytope algebra backed by linear programming.
+"""H-representation polytope algebra backed by Qhull and linear programming.
 
 Everything here works on sets of the form {x : Hx <= h}: constraint sets,
-disturbance supports and invariant sets.  Robustification only ever needs
-support functions, so no vertex enumeration is required (a small 2-d
-enumerator exists for plotting and polygon metrics).  ``projection_cuts``
-outer-bounds the projection of a lifted set {(x, z) : G z + R x <= h} onto
-x by support LPs, exactly in one and two dimensions.  Inclusion and
-fixed-point tests use an absolute tolerance of 1e-7 on facet offsets, one
-order above the LP layer's 1e-8 accuracy.
+disturbance supports and invariant sets.  ``remove_redundant`` finds the
+minimal rows with Qhull's halfspace intersection (one Chebyshev-centre LP
+gives the interior point and decides emptiness) and caches the vertices
+Qhull returns, so ``support`` of a reduced set is a max over vertices.
+LPs remain where no vertices are known or where they certify: the centre
+LP, ``support_lp`` (the terminal set's invariance recheck uses it),
+``projection_cuts``, which outer-bounds the projection of a lifted set
+{(x, z) : G z + R x <= h} onto x by support LPs (exactly in one and two
+dimensions), and the per-row LP loop for 1-d and flat sets, which Qhull
+cannot take.  A small 2-d enumerator exists for plotting and polygon
+metrics.  Inclusion and fixed-point tests use an absolute tolerance of 1e-7
+on facet offsets, one order above the LP layer's 1e-8 accuracy.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
+from scipy.spatial import HalfspaceIntersection, QhullError
 
 from .errors import (
     ConvergenceError,
@@ -29,6 +34,8 @@ FACET_TOL = 1e-7
 # cap on the support LPs of one projection_cuts build: a guard against
 # rounding that keeps finding new points on a nearly straight edge
 _MAX_SUPPORT_LPS = 500
+# rows of [H h] scaled by max|H_i| that agree this closely are one halfspace
+_COINCIDENT_TOL = 1e-9
 
 
 class Polytope:
@@ -36,10 +43,12 @@ class Polytope:
 
     ``H`` has one row per facet normal, ``h`` the matching offsets.  If the
     set was constructed from axis-aligned bounds, the bounds are kept and
-    support queries take an exact fast path instead of an LP.
+    support queries take an exact fast path instead of an LP.  ``vertices``
+    (read-only, one vertex per array row) is the optional vertex cache that
+    ``remove_redundant`` fills; support queries then take a max over it.
     """
 
-    def __init__(self, H, h, *, box=None):
+    def __init__(self, H, h, *, box=None, vertices=None):
         H = np.atleast_2d(np.asarray(H, dtype=float))
         h = np.asarray(h, dtype=float).reshape(-1)
         if H.shape[0] != h.shape[0]:
@@ -54,6 +63,13 @@ class Polytope:
         if box is not None:
             lo, hi = (np.asarray(v, dtype=float).reshape(-1) for v in box)
             self._box = (lo, hi)
+        self._vertices = None
+        if vertices is not None:
+            V = np.array(vertices, dtype=float).reshape(-1, self.dim)
+            V.setflags(write=False)
+            self._vertices = V
+        # True/False once known; None until the first is_empty() solves its LP
+        self._empty = None if box is None and vertices is None else False
 
     @classmethod
     def from_box(cls, lo, hi):
@@ -71,8 +87,10 @@ class Polytope:
 
     @classmethod
     def empty(cls, dim):
-        """Canonical empty marker in R^dim ({0'x <= -1})."""
-        return cls(np.zeros((1, dim)), np.array([-1.0]))
+        """Canonical empty marker in R^dim ({0'x <= -1}), known empty without an LP."""
+        marker = cls(np.zeros((1, dim)), np.array([-1.0]))
+        marker._empty = True
+        return marker
 
     @property
     def H(self):
@@ -98,22 +116,24 @@ class Polytope:
     def box_bounds(self):
         return self._box
 
+    @property
+    def vertices(self):
+        """Cached vertices (read-only array), or None when none are known."""
+        return self._vertices
+
     def __repr__(self):
         return "Polytope(dim=%d, facets=%d)" % (self.dim, self.n_rows)
 
-    @cached_property
-    def _empty_flag(self):
-        out = solve_lp(np.zeros(self.dim), self._H, self._h)
-        if out.status is SolveStatus.INFEASIBLE:
-            return True
-        if out.status in (SolveStatus.OPTIMAL, SolveStatus.UNBOUNDED):
-            return False
-        raise EmptyPolytopeError("feasibility probe failed: %s" % out.status)
-
     def is_empty(self):
-        if self._box is not None:
-            return False
-        return self._empty_flag
+        if self._empty is None:
+            out = solve_lp(np.zeros(self.dim), self._H, self._h)
+            if out.status is SolveStatus.INFEASIBLE:
+                self._empty = True
+            elif out.status in (SolveStatus.OPTIMAL, SolveStatus.UNBOUNDED):
+                self._empty = False
+            else:
+                raise EmptyPolytopeError("feasibility probe failed: %s" % out.status)
+        return self._empty
 
     def contains(self, x, tol=FACET_TOL):
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -164,14 +184,27 @@ class PointCloudHull2D:
     area: float
 
 
-def support(P: Polytope, c) -> float:
-    """max_{x in P} c.x  (exact for boxes, by LP otherwise)."""
+def _direction(P: Polytope, c) -> np.ndarray:
     c = np.asarray(c, dtype=float).reshape(-1)
     if c.shape[0] != P.dim:
         raise DimensionMismatchError("direction has dim %d, polytope %d" % (c.shape[0], P.dim))
+    return c
+
+
+def support(P: Polytope, c) -> float:
+    """max_{x in P} c.x: exact for boxes, a max over cached vertices, else by LP."""
+    c = _direction(P, c)
     if P.is_box:
         lo, hi = P.box_bounds
         return float(np.sum(np.where(c >= 0, c * hi, c * lo)))
+    if P.vertices is not None:
+        return float(np.max(P.vertices @ c))
+    return support_lp(P, c)
+
+
+def support_lp(P: Polytope, c) -> float:
+    """max_{x in P} c.x by one LP, never from box bounds or cached vertices."""
+    c = _direction(P, c)
     out = solve_lp(-c, P.H, P.h)
     if out.status is SolveStatus.OPTIMAL:
         return -out.objective
@@ -193,15 +226,69 @@ def is_subset(P: Polytope, Q: Polytope, tol=FACET_TOL) -> bool:
 
 
 def remove_redundant(P: Polytope) -> Polytope:
-    """Minimal representation of the same set; survivor order preserved.
+    """Minimal representation of the same set, with its vertices cached.
+
+    The kept rows are input rows, bitwise and in their original order.
+    One Chebyshev-centre LP decides emptiness and finds an interior point;
+    Qhull's halfspace intersection then keeps the rows that are facets (the
+    vertices of its dual hull) and returns the vertices of the set.  Of
+    coincident halfspaces (rows of [H h] scaled by max|H_i| that agree
+    within 1e-9) the last is kept, as the per-row LP loop keeps it.  Sets
+    Qhull cannot take -- dimension 1, no interior point (centre radius <=
+    FACET_TOL), unbounded -- go through ``_remove_redundant_by_lp`` and get
+    no vertex cache.
+    """
+    out = _minimal(P)
+    if out is None:
+        raise EmptyPolytopeError("remove_redundant on an empty polytope")
+    return out
+
+
+def _minimal(P: Polytope):
+    """``remove_redundant(P)``, or None when the centre LP finds P empty."""
+    H, h = P.H, P.h
+    d = P.dim
+    norms = np.linalg.norm(H, axis=1)
+    # maximize r over (x, r): H x + ||H_i|| r <= h, r >= 0
+    G = np.vstack([np.hstack([H, norms[:, None]]), np.append(np.zeros(d), -1.0)])
+    out = solve_lp(np.append(np.zeros(d), -1.0), G, np.append(h, 0.0))
+    if out.status is SolveStatus.INFEASIBLE:
+        return None
+    if out.status is SolveStatus.OPTIMAL:
+        centre, radius = out.x_opt[:d], out.x_opt[d]
+    elif out.status is SolveStatus.UNBOUNDED:
+        centre, radius = None, np.inf
+    else:
+        raise EmptyPolytopeError("Chebyshev-centre LP failed: %s" % out.status)
+    if d < 2 or not FACET_TOL < radius < np.inf:
+        return _remove_redundant_by_lp(P)
+    scale = np.max(np.abs(H), axis=1)
+    live = np.flatnonzero(scale > 0.0)  # a zero row 0 <= h_i is redundant once P is nonempty
+    rows = np.hstack([H[live], h[live, None]]) / scale[live, None]
+    near = np.max(np.abs(rows[:, None, :] - rows[None, :, :]), axis=2) <= _COINCIDENT_TOL
+    live = live[~np.any(np.triu(near, k=1), axis=1)]  # of coincident rows, the last
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):  # vertices at infinity
+            hs = HalfspaceIntersection(np.hstack([H[live], -h[live, None]]), centre)
+    except QhullError:
+        return _remove_redundant_by_lp(P)
+    V = hs.intersections
+    # a vertex at (or numerically near) infinity: P is unbounded
+    if not np.all(np.abs(V - centre) <= 1e12 * radius):
+        return _remove_redundant_by_lp(P)
+    # hs.dual_vertices fails on merged (non-simplicial) dual facets
+    keep = live[np.unique(np.concatenate(hs.dual_facets))]
+    return Polytope(H[keep], h[keep], vertices=V)
+
+
+def _remove_redundant_by_lp(P: Polytope) -> Polytope:
+    """Per-row LP loop for the sets Qhull cannot take (1-d, flat, unbounded).
 
     A row is redundant iff maximizing it subject to all other (surviving)
     rows cannot exceed its own offset.  The LP is capped at offset+1 so it
-    is never unbounded in the objective.
+    is never unbounded in the objective.  P must be nonempty.
     """
-    if P.is_empty():
-        raise EmptyPolytopeError("remove_redundant on an empty polytope")
-    H, h = P.H.copy(), P.h.copy()
+    H, h = P.H, P.h
     keep = np.ones(len(h), dtype=bool)
     for i in range(len(h)):
         keep[i] = False
@@ -215,7 +302,9 @@ def remove_redundant(P: Polytope) -> Polytope:
         out = solve_lp(-H[i], G, g)
         if out.status is SolveStatus.OPTIMAL and -out.objective <= h[i] + FACET_TOL:
             keep[i] = False
-    return Polytope(H[keep], h[keep])
+    out = Polytope(H[keep], h[keep])
+    out._empty = False
+    return out
 
 
 def pre_set(S: Polytope, Acl_vertices, W: Polytope, X: Polytope) -> Polytope:
@@ -230,10 +319,8 @@ def pre_set(S: Polytope, Acl_vertices, W: Polytope, X: Polytope) -> Polytope:
     blocks = [S.H @ A for A in Acl_vertices]
     H = np.vstack(blocks + [X.H])
     h = np.concatenate([S.h - w_sup] * len(blocks) + [X.h])
-    cand = Polytope(H, h)
-    if cand.is_empty():
-        return Polytope.empty(S.dim)
-    return remove_redundant(cand)
+    out = _minimal(Polytope(H, h))
+    return Polytope.empty(S.dim) if out is None else out
 
 
 def max_robust_invariant(
@@ -246,9 +333,9 @@ def max_robust_invariant(
     mutually included within FACET_TOL.  Returns the empty marker when the
     invariant set is empty.
     """
-    if X_and_input.is_empty():
+    omega = _minimal(X_and_input)
+    if omega is None:
         return Polytope.empty(X_and_input.dim)
-    omega = remove_redundant(X_and_input)
     for _ in range(max_iter):
         nxt = pre_set(omega, Acl_vertices, W, omega)
         if nxt.is_empty():

@@ -1,9 +1,11 @@
 """End-to-end CLI checks: exit codes, determinism, artifact contents."""
+import hashlib
 import json
 
 import pytest
 
 from rampc.cli import main
+from rampc.system import default_problem_path
 
 from conftest import scalar_problem_dict
 
@@ -34,6 +36,21 @@ def test_terminal_set_svg_2d(tmp_path):
     assert text.startswith("<?xml")
     assert "<polygon" in text
     assert "terminal set" in text
+
+
+def test_terminal_set_json_bytes_pinned(tmp_path, monkeypatch):
+    # the default terminal-set report, byte for byte, as the per-row LP loop
+    # produced it; only the checkout-dependent problem path is masked
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    out = tmp_path / "term.json"
+    assert main(["terminal-set", "--problem", "default", "--out", str(out)]) == 0
+    path = json.dumps(str(default_problem_path())).encode()
+    data = out.read_bytes()
+    assert data.count(path) == 1
+    masked = data.replace(path, b'"<problem>"')
+    assert hashlib.sha256(masked).hexdigest() == (
+        "611f513f362f854b3d18be9490a3a3c5f06120c158fd5888cbedc545b1188fa4"
+    )
 
 
 def test_simulate_deterministic_bytes(scalar_file, tmp_path):

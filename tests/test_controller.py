@@ -1,10 +1,11 @@
 """Controller: terminal synthesis, the two robustification cases, adaptivity."""
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
-from rampc import controller
+from rampc import controller, geometry
 from rampc.baseline import BaselineController, baseline_solve, make_baseline_config
 from rampc.controller import (
     AdaptiveController,
@@ -22,7 +23,7 @@ from rampc.errors import (
     HistoryLengthMismatchError,
     VertexUnstableError,
 )
-from rampc.geometry import Polytope, is_subset, vertices_2d
+from rampc.geometry import Polytope, is_subset, support, vertices_2d
 from rampc.prediction import FeedbackGainStack, build_stacked
 from rampc.qpsolver import SolveStatus, solve_qp
 from rampc.simulator import simulate_closed_loop
@@ -71,6 +72,45 @@ class TestSynthesizeTerminal:
         S = default_cfg.P + term.K.T @ default_cfg.R @ term.K
         resid = np.linalg.eigvalsh(-term.P_N + S + A_cl.T @ term.P_N @ A_cl).max()
         assert resid <= 1e-8
+
+    def test_default_terminal_sets_pinned(self, default_problem, default_cfg):
+        # sha256 over the float64 bytes of H, then h, of the default adaptive
+        # and lumped terminal sets as the per-row LP loop computed them
+        def digest(P):
+            return hashlib.sha256(P.H.tobytes() + P.h.tobytes()).hexdigest()
+
+        prob = default_problem
+        lump = make_baseline_config(
+            prob.system, prob.K, prob.P, prob.R, prob.N, bound=default_cfg.bound
+        ).X_N_lump
+        assert (default_cfg.terminal.X_N.n_rows, lump.n_rows) == (12, 24)
+        assert digest(default_cfg.terminal.X_N) == (
+            "f509d0239d8df1bd473aebeb6f588232be8bee037f664fbb97645ad711d9c9d9"
+        )
+        assert digest(lump) == "9432575cb7e1922701dd6f56b67f7b9ab7b6426161a237ada743039afa623a15"
+
+    def test_invariance_recheck_solves_lps(self, default_problem, default_cfg, monkeypatch):
+        X_N = default_cfg.terminal.X_N
+        sys = default_problem.system
+        assert X_N.vertices is not None  # synthesis used the vertex cache
+
+        def vertex_path(self):
+            raise AssertionError("vertex cache read")
+
+        monkeypatch.setattr(Polytope, "vertices", property(vertex_path))
+        with pytest.raises(AssertionError, match="vertex cache read"):
+            support(X_N, X_N.H[0])
+        calls = []
+        inner = geometry.solve_lp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "solve_lp", counted)
+        cl = sys.vertex_closed_loops(default_cfg.terminal.K)
+        controller._recheck_invariance(X_N, cl, sys.W)
+        assert len(calls) == len(cl) * X_N.n_rows
 
 
 def test_lyapunov_series_matches_scipy():

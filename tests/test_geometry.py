@@ -3,9 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
+from rampc import geometry
 from rampc.errors import DimensionMismatchError, EmptyPolytopeError, UnboundedDirectionError
 from rampc.geometry import (
+    FACET_TOL,
     Polytope,
     hull_2d,
     is_subset,
@@ -15,8 +18,10 @@ from rampc.geometry import (
     remove_redundant,
     shoelace_area,
     support,
+    support_lp,
     vertices_2d,
 )
+from rampc.qpsolver import SolveStatus, solve_lp
 
 UNIT_BOX = Polytope.from_box([-1, -1], [1, 1])
 
@@ -137,6 +142,200 @@ class TestRemoveRedundant:
     def test_empty_raises(self):
         with pytest.raises(EmptyPolytopeError):
             remove_redundant(Polytope([[1.0], [-1.0]], [0.0, -1.0]))
+
+
+def _reference_remove_redundant(P):
+    """The per-row LP loop that ``remove_redundant`` replaced, kept as its oracle.
+
+    A row is redundant iff maximizing it subject to all other (surviving)
+    rows cannot exceed its own offset (LP capped at offset + 1).
+    """
+    if P.is_empty():
+        raise EmptyPolytopeError("remove_redundant on an empty polytope")
+    H, h = P.H.copy(), P.h.copy()
+    keep = np.ones(len(h), dtype=bool)
+    for i in range(len(h)):
+        keep[i] = False
+        rows = H[keep]
+        offs = h[keep]
+        keep[i] = True
+        if len(offs) == 0:
+            continue
+        G = np.vstack([rows, H[i]])
+        g = np.concatenate([offs, [h[i] + 1.0]])
+        out = solve_lp(-H[i], G, g)
+        if out.status is SolveStatus.OPTIMAL and -out.objective <= h[i] + FACET_TOL:
+            keep[i] = False
+    return Polytope(H[keep], h[keep])
+
+
+def _hull_polytope(rng, d, n_points):
+    """Facets of the hull of random points: a bounded, full-dimensional set."""
+    pts = rng.normal(size=(n_points, d))
+    eq = ConvexHull(pts).equations
+    return pts, eq[:, :d], -eq[:, d]
+
+
+class TestRemoveRedundantOracle:
+    """Qhull path against the LP loop: the same rows, bitwise and in order."""
+
+    @staticmethod
+    def _assert_oracle(P, *, qhull):
+        got = remove_redundant(P)
+        ref = _reference_remove_redundant(P)
+        np.testing.assert_array_equal(got.H, ref.H)
+        np.testing.assert_array_equal(got.h, ref.h)
+        assert (got.vertices is not None) is qhull
+        return got
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_polytopes(self, d):
+        rng = np.random.default_rng(10 + d)
+        for _ in range(15):
+            _, H, h = _hull_polytope(rng, d, int(rng.integers(d + 2, 14)))
+            # strictly redundant rows, shuffled in among the facets
+            extra = rng.normal(size=(4, d))
+            H = np.vstack([H, extra])
+            h = np.concatenate([h, 3.0 + np.abs(extra).sum(axis=1) * 3.0])
+            perm = rng.permutation(len(h))
+            self._assert_oracle(Polytope(H[perm], h[perm]), qhull=True)
+
+    def test_random_halfspaces_around_origin(self):
+        # some of these are unbounded; those take the LP loop
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            d = int(rng.choice([2, 3]))
+            m = int(rng.integers(d + 2, 16))
+            P = Polytope(rng.normal(size=(m, d)), np.abs(rng.normal(size=m)) + 0.2)
+            got = remove_redundant(P)
+            ref = _reference_remove_redundant(P)
+            np.testing.assert_array_equal(got.H, ref.H)
+            np.testing.assert_array_equal(got.h, ref.h)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_exact_and_scaled_duplicates_keep_the_last(self, d):
+        rng = np.random.default_rng(20 + d)
+        for _ in range(10):
+            _, H, h = _hull_polytope(rng, d, 8)
+            pick = rng.choice(len(h), size=3, replace=False)
+            scale = np.array([1.0, 2.5, 0.125])[:, None]
+            H = np.vstack([H, H[pick] * scale])
+            h = np.concatenate([h, h[pick] * scale[:, 0]])
+            perm = rng.permutation(len(h))
+            got = self._assert_oracle(Polytope(H[perm], h[perm]), qhull=True)
+            assert got.n_rows == len(h) - 3
+
+    def test_duplicate_square_edge_keeps_last_row(self):
+        P = Polytope([[1, 0], [0, 1], [2, 0], [-1, 0], [0, -1]], [1, 1, 2, 1, 1])
+        got = self._assert_oracle(P, qhull=True)
+        np.testing.assert_array_equal(got.H[0], [0.0, 1.0])
+        np.testing.assert_array_equal(got.H[1], [2.0, 0.0])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_weakly_redundant_rows_at_a_vertex(self, d):
+        # a row through one vertex, its normal inside that vertex's normal cone,
+        # touches the set only at the vertex
+        rng = np.random.default_rng(30 + d)
+        for _ in range(15):
+            pts, H, h = _hull_polytope(rng, d, 9)
+            vert = pts[rng.choice(ConvexHull(pts).vertices, size=2, replace=False)]
+            rows, offs = [], []
+            for v in vert:
+                active = np.flatnonzero(np.abs(H @ v - h) <= 1e-9)
+                normal = rng.random(len(active)) @ H[active]
+                rows.append(normal)
+                offs.append(normal @ v)
+            H = np.vstack([H, rows])
+            h = np.concatenate([h, offs])
+            perm = rng.permutation(len(h))
+            self._assert_oracle(Polytope(H[perm], h[perm]), qhull=True)
+
+    def test_weakly_redundant_square_diagonal(self):
+        P = Polytope([[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]], [1, 2, 1, 1, 1])
+        assert self._assert_oracle(P, qhull=True).n_rows == 4
+
+    def test_intervals_take_the_lp_loop(self):
+        rng = np.random.default_rng(40)
+        for _ in range(10):
+            H = rng.choice([-1.0, 1.0], size=(6, 1)) * rng.uniform(0.5, 2.0, size=(6, 1))
+            h = rng.uniform(0.1, 2.0, size=6)
+            H[0, 0], H[1, 0] = 1.0, -1.0  # bounded on both sides
+            self._assert_oracle(Polytope(H, h), qhull=False)
+
+    def test_flat_sets_take_the_lp_loop(self):
+        # a segment in the plane and a square in space: no interior point
+        seg = Polytope([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [1, 1, 0, 0, 5])
+        self._assert_oracle(seg, qhull=False)
+        H = np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 0.0]]])
+        flat = Polytope(H, [1, 1, 0, 1, 1, 0, 3])
+        self._assert_oracle(flat, qhull=False)
+
+    def test_unbounded_sets_take_the_lp_loop(self):
+        strip = Polytope([[1, 0], [0, 1], [-1, 0], [3, 1]], [1, 1, 1, 9])
+        self._assert_oracle(strip, qhull=False)
+        tilted = Polytope([[1, 0], [0, 1], [-1, 1e-13], [0, 2]], [1, 1, 1, 5])
+        self._assert_oracle(tilted, qhull=False)
+
+    def test_empty_raises_like_the_reference(self):
+        P = Polytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [0.0, -1.0, 1.0])
+        for fn in (remove_redundant, _reference_remove_redundant):
+            with pytest.raises(EmptyPolytopeError):
+                fn(P)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_vertex_support_matches_lp_support(self, d):
+        rng = np.random.default_rng(50 + d)
+        for _ in range(5):
+            _, H, h = _hull_polytope(rng, d, 10)
+            P = remove_redundant(Polytope(H, h))
+            assert P.vertices is not None
+            for c in rng.normal(size=(20, d)):
+                assert abs(support(P, c) - support_lp(P, c)) <= 1e-9
+
+    def test_vertex_cache_is_read_only(self):
+        P = remove_redundant(Polytope([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 1, 1]))
+        with pytest.raises(ValueError):
+            P.vertices[0, 0] = 5.0
+
+
+class TestCentreLP:
+    """One LP per candidate: the centre LP also decides emptiness."""
+
+    @staticmethod
+    def _count_lps(monkeypatch):
+        calls = []
+        inner = geometry.solve_lp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "solve_lp", counted)
+        return calls
+
+    def test_invariant_set_costs_one_lp_per_candidate(self, monkeypatch):
+        pre_sets = []
+        inner_pre = geometry.pre_set
+
+        def counted_pre(*args, **kwargs):
+            pre_sets.append(1)
+            return inner_pre(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "pre_set", counted_pre)
+        calls = self._count_lps(monkeypatch)
+        A1 = np.array([[0.9, 0.4], [-0.3, 0.7]])
+        A2 = np.array([[0.8, -0.4], [0.3, 0.7]])
+        W = Polytope.from_box([-0.05, -0.05], [0.05, 0.05])
+        inv = max_robust_invariant(UNIT_BOX, [A1, A2], W)
+        assert not inv.is_empty() and inv.vertices is not None
+        assert len(pre_sets) >= 3
+        assert len(calls) == len(pre_sets) + 1
+
+    def test_empty_candidate_is_one_lp(self, monkeypatch):
+        calls = self._count_lps(monkeypatch)
+        pre = pre_set(UNIT_BOX, [0.5 * np.eye(2)], Polytope.from_box([-2, -2], [2, 2]), UNIT_BOX)
+        assert pre.is_empty()
+        assert len(calls) == 1
 
 
 def _box1(lo, hi):
