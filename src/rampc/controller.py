@@ -24,8 +24,8 @@ multipliers, and from then on a state outside a stored facet by more than a
 1e-7 margin is settled INFEASIBLE in microseconds, with that facet's
 multiplier as its Farkas certificate.  Terminal ingredients: a robust
 positive invariant terminal set computed with the exact vertex uncertainty
-(and rechecked by LP), and a terminal cost from the closed-loop Lyapunov series, which makes the
-descent inequality hold with equality globally.
+(and rechecked by LP), and a terminal cost from the closed-loop Lyapunov
+series, which makes the descent inequality hold with equality globally.
 """
 from __future__ import annotations
 

@@ -9,10 +9,10 @@ LPs remain where no vertices are known or where they certify: the centre
 LP, ``support_lp`` (the terminal set's invariance recheck uses it),
 ``projection_cuts``, which outer-bounds the projection of a lifted set
 {(x, z) : G z + R x <= h} onto x by support LPs (exactly in one and two
-dimensions), and the per-row LP loop for 1-d and flat sets, which Qhull
-cannot take.  A small 2-d enumerator exists for plotting and polygon
-metrics.  Inclusion and fixed-point tests use an absolute tolerance of 1e-7
-on facet offsets, one order above the LP layer's 1e-8 accuracy.
+dimensions), and the per-row LP loop for 1-d, flat and unbounded sets,
+which Qhull cannot take.  A small 2-d enumerator exists for plotting and
+polygon metrics.  Inclusion and fixed-point tests use an absolute tolerance
+of 1e-7 on facet offsets, one order above the LP layer's 1e-8 accuracy.
 """
 from __future__ import annotations
 
