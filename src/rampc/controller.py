@@ -42,7 +42,7 @@ from .errors import (
     LyapunovDivergenceError,
     VertexUnstableError,
 )
-from .geometry import Polytope, max_robust_invariant, projection_cuts, support, support_lp
+from .geometry import Polytope, max_robust_invariant, projection_cuts, support, support_lp_many
 from .prediction import FeedbackGainStack, build_stacked, policy_input
 from .qpsolver import ADMMSettings, ParametricQP, QuadraticProgram, SolveOutcome, SolveStatus
 from .system import NetAdditiveBound, UncertainSystem, net_additive_bound
@@ -97,9 +97,9 @@ def synthesize_terminal(
     The vertex screen is exact; hull-interior stability is only sampled
     (certifying it needs machinery that is out of scope here), so failures
     of either screen raise loudly.  The set's invariance is then rechecked
-    by one support LP per facet and vertex closed loop, not from the vertex
-    cache that synthesis used, so the terminal set carries an LP
-    certificate.
+    by support LPs (one block per facet and vertex closed loop, solved as
+    one LP), not from the vertex cache that synthesis used, so the terminal
+    set carries an LP certificate.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     P = np.atleast_2d(np.asarray(P, dtype=float))
@@ -158,15 +158,20 @@ def synthesize_terminal(
 
 
 def _recheck_invariance(X_N, cl_vertices, W, tol=1e-7):
-    """LP certificate that X_N is robustly invariant, independent of its vertex cache."""
-    for A in cl_vertices:
-        for row, off in zip(X_N.H, X_N.h):
-            worst = support_lp(X_N, A.T @ row) + support(W, row)
-            if worst > off + tol:
-                raise ConvergenceError(
-                    "terminal set fails its invariance recheck (violation %.2e)"
-                    % (worst - off)
-                )
+    """LP certificate that X_N is robustly invariant, independent of its vertex cache.
+
+    One block-diagonal LP gives the support of X_N along A'H_i for every
+    vertex closed loop A and facet i.
+    """
+    directions = np.vstack([X_N.H @ A for A in cl_vertices])
+    w_sup = np.array([support(W, row) for row in X_N.H])
+    worst = support_lp_many(X_N, directions) + np.tile(w_sup, len(cl_vertices))
+    offsets = np.tile(X_N.h, len(cl_vertices))
+    if np.any(worst > offsets + tol):
+        raise ConvergenceError(
+            "terminal set fails its invariance recheck (violation %.2e)"
+            % float(np.max(worst - offsets))
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +560,7 @@ class AdaptiveController:
             status=SolveStatus.INFEASIBLE,
             farkas={"y": cuts.Y[i], "nu": np.zeros(0), "gap": float(g[i])},
             backend="facets",
-            diagnostics={"facet": i, "tightened": False, "factorizations": 0},
+            diagnostics={"facet": i, "tightened": False, "factorizations": 0, "rho_updates": 0},
             solve_time=time.perf_counter() - t0,
         )
 

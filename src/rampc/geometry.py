@@ -6,7 +6,8 @@ minimal rows with Qhull's halfspace intersection (one Chebyshev-centre LP
 gives the interior point and decides emptiness) and caches the vertices
 Qhull returns, so ``support`` of a reduced set is a max over vertices.
 LPs remain where no vertices are known or where they certify: the centre
-LP, ``support_lp`` (the terminal set's invariance recheck uses it),
+LP, ``support_lp`` and its many-directions form ``support_lp_many`` (one
+block-diagonal LP; the terminal set's invariance recheck uses it),
 ``projection_cuts``, which outer-bounds the projection of a lifted set
 {(x, z) : G z + R x <= h} onto x by support LPs (exactly in one and two
 dimensions), and the per-row LP loop for 1-d, flat and unbounded sets,
@@ -204,14 +205,28 @@ def support(P: Polytope, c) -> float:
 
 def support_lp(P: Polytope, c) -> float:
     """max_{x in P} c.x by one LP, never from box bounds or cached vertices."""
-    c = _direction(P, c)
-    out = solve_lp(-c, P.H, P.h)
+    return float(support_lp_many(P, _direction(P, c)[None, :])[0])
+
+
+def support_lp_many(P: Polytope, C) -> np.ndarray:
+    """``support_lp`` of every row of C, all from one LP.
+
+    The LP is block diagonal: block k maximizes C[k].x_k over {H x_k <= h},
+    so the blocks are independent and each block's value is its support.
+    One HiGHS call replaces len(C) calls, whose cost is mostly set-up.
+    """
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    if C.shape[1] != P.dim:
+        raise DimensionMismatchError("directions have dim %d, polytope %d" % (C.shape[1], P.dim))
+    k = C.shape[0]
+    out = solve_lp(-C.ravel(), np.kron(np.eye(k), P.H), np.tile(P.h, k))
     if out.status is SolveStatus.OPTIMAL:
-        return -out.objective
+        X = out.x_opt.reshape(k, P.dim)
+        return np.array([c @ x for c, x in zip(C, X)])
     if out.status is SolveStatus.INFEASIBLE:
         raise EmptyPolytopeError("support of an empty polytope")
     if out.status is SolveStatus.UNBOUNDED:
-        raise UnboundedDirectionError("polytope unbounded in direction %s" % c)
+        raise UnboundedDirectionError("polytope unbounded in a direction of %s" % C)
     raise EmptyPolytopeError("support LP failed: %s" % out.status)
 
 

@@ -16,15 +16,19 @@ step size the loop has visited.  Each ``solve`` is a pure function of its
 arguments (iterates and step-size adaptation always restart from the same
 state), so repeated solves are bitwise reproducible.
 
-Accuracy model: the ADMM loop runs until its residuals converge to a
-moderate tolerance, then the unscaled iterate (inequality duals clipped at
-zero) is verified against absolute 1e-8 primal feasibility, dual sign and
-stationarity.  If the check fails, the loop is tightened once to 1e-10 and
-verified again; a second failure is NUMERICAL_FAILURE, never a result that
-misses the contract.  Every OPTIMAL result is the verified ADMM iterate.
-An INFEASIBLE verdict is never emitted on ADMM evidence alone: it is
-confirmed by an exact LP feasibility probe and carries a verified Farkas
-certificate.
+Accuracy model: the ADMM loop checks its residuals every ``check_every``
+iterations and, at every second check, adapts the step size from the ratio
+of the primal to the dual residual (Boyd et al. 2011, sec. 3.4.1; Stellato
+et al. 2020).  Once the residuals reach a moderate tolerance, the unscaled
+iterate (inequality duals clipped at zero) is verified against absolute
+1e-8 primal feasibility, dual sign and stationarity.  If that check fails,
+the residual target is tightened to 1e-10 and every later check verifies
+the iterate again, returning as soon as it meets the 1e-8 contract; an
+iterate that reaches 1e-10 residuals and still fails is NUMERICAL_FAILURE,
+never a result that misses the contract.  Every OPTIMAL result is the
+verified ADMM iterate.  An INFEASIBLE verdict is never emitted on ADMM
+evidence alone: it is confirmed by an exact LP feasibility probe and
+carries a verified Farkas certificate.
 """
 from __future__ import annotations
 
@@ -50,17 +54,22 @@ def active_kernel():
 class ADMMSettings:
     sigma: float = 1e-6
     alpha: float = 1.6
-    rho: float = 0.1
+    rho: float = 0.1  # initial step size; equality rows get rho * rho_eq_scale
     rho_eq_scale: float = 1e3
+    # first residual target; after a failed KKT check it becomes 1e-10, and
+    # from then on every check tries the KKT contract
     eps_abs: float = 1e-6
     eps_rel: float = 1e-6
     eps_pinf: float = 1e-4
     eps_dinf: float = 1e-4
     max_iter: int = 50_000
-    check_every: int = 25
+    check_every: int = 25  # iterations between residual checks
     ruiz_iters: int = 10
+    # adapt the step size at every second check (every 2 * check_every
+    # iterations) by a factor of rho within [1e-4, 1e4], in half-decade
+    # steps and only when the new factor differs by more than 5x
     adaptive_rho: bool = True
-    kkt_tol: float = 1e-8
+    kkt_tol: float = 1e-8  # the contract every OPTIMAL result meets
 
 
 DEFAULT_SETTINGS = ADMMSettings()
@@ -294,9 +303,14 @@ class ParametricQP:
         false_alarms = 0
         eps_abs, eps_rel = s.eps_abs, s.eps_rel
         tightened = False
+        rho_updates = 0
 
         def finish(status, diagnostics=(), **kw):
-            diag = {"tightened": tightened, "factorizations": len(self._factor_cache) - n_factors}
+            diag = {
+                "tightened": tightened,
+                "factorizations": len(self._factor_cache) - n_factors,
+                "rho_updates": rho_updates,
+            }
             diag.update(diagnostics)
             out = SolveOutcome(
                 status=status, backend=KERNEL, iterations=iters, diagnostics=diag, **kw
@@ -314,7 +328,10 @@ class ParametricQP:
             r_p, r_d, scale_p, scale_d = self._residuals(xu, zu, yu, q)
             eps_p = eps_abs + eps_rel * scale_p
             eps_d = eps_abs + eps_rel * scale_d
-            if r_p <= eps_p and r_d <= eps_d:
+            converged = r_p <= eps_p and r_d <= eps_d
+            # once tightened, every check tries the contract itself: 1e-10
+            # residuals only decide when to give up
+            if converged or tightened:
                 y_in = np.maximum(yu[: self.m_in], 0.0)
                 y_eq = yu[self.m_in :]
                 if self._kkt_ok(xu, y_in, y_eq, q, h, b):
@@ -326,6 +343,7 @@ class ParametricQP:
                         y_ineq=y_in,
                         y_eq=y_eq if self.m_eq else None,
                     )
+            if converged:
                 if not tightened:  # KKT check failed: push the loop further first
                     eps_abs = eps_rel = 1e-10
                     tightened = True
@@ -346,12 +364,13 @@ class ParametricQP:
                 return finish(
                     SolveStatus.UNBOUNDED, diagnostics={"ray": dxu / max(np.max(np.abs(dxu)), 1e-30)}
                 )
-            if s.adaptive_rho and iters % (s.check_every * 8) == 0 and r_d > 0:
+            if s.adaptive_rho and iters % (2 * s.check_every) == 0 and r_d > 0:
                 ratio = (r_p / max(eps_p, 1e-30)) / (r_d / max(eps_d, 1e-30))
                 new_scale = _quantize_rho(rho_scale * float(np.sqrt(ratio)))
                 new_scale = min(max(new_scale, 1e-4), 1e4)
                 if new_scale != rho_scale and (new_scale > 5 * rho_scale or new_scale < rho_scale / 5):
                     rho_scale = new_scale
+                    rho_updates += 1
                     lu, rho, rho_inv = self._factor(rho_scale)
         # iteration cap: settle feasibility exactly, then give up honestly
         feas, cert = feasible_point(self.G, h, self.A_eq, b if self.m_eq else None)

@@ -102,8 +102,9 @@ class SolveOutcome:
     ``polished`` is always False: no solver refines its result after
     convergence.  The field stays because the benchmark's tracing
     (``perfbench/tracing.py``) reads it.  Every ADMM solve fills
-    ``diagnostics`` with ``tightened`` (whether the 1e-10 retry ran) and
-    ``factorizations`` (factor-cache misses during this solve); an UNBOUNDED
+    ``diagnostics`` with ``tightened`` (whether the 1e-10 retry ran),
+    ``factorizations`` (factor-cache misses during this solve) and
+    ``rho_updates`` (step-size changes during this solve); an UNBOUNDED
     result adds the normalized ``ray``.
     """
 

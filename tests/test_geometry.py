@@ -19,6 +19,7 @@ from rampc.geometry import (
     shoelace_area,
     support,
     support_lp,
+    support_lp_many,
     vertices_2d,
 )
 from rampc.qpsolver import SolveStatus, solve_lp
@@ -290,6 +291,18 @@ class TestRemoveRedundantOracle:
             assert P.vertices is not None
             for c in rng.normal(size=(20, d)):
                 assert abs(support(P, c) - support_lp(P, c)) <= 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_many_direction_support_matches_per_direction(self, d):
+        rng = np.random.default_rng(60 + d)
+        for _ in range(5):
+            _, H, h = _hull_polytope(rng, d, 10)
+            P = Polytope(H, h)
+            C = rng.normal(size=(20, d))
+            many = support_lp_many(P, C)
+            assert many.shape == (20,)
+            for c, value in zip(C, many):
+                assert abs(value - support_lp(P, c)) <= 1e-9
 
     def test_vertex_cache_is_read_only(self):
         P = remove_redundant(Polytope([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 1, 1]))

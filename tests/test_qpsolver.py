@@ -177,13 +177,29 @@ def test_diagnostics_report_tightening_and_factorizations(default_controller):
     assert out.is_optimal and out.diagnostics["tightened"] is True
     tpl, solver = fresh(5)
     out = solver.solve(*tpl.parts(np.array([3.0, -2.0])))
-    assert out.is_optimal and out.diagnostics == {"tightened": False, "factorizations": 0}
+    assert out.is_optimal and out.diagnostics == {"tightened": False, "factorizations": 0, "rho_updates": 0}
     # N_t = 5 at (-4, -4) changes the step size; a re-solve finds its factor cached
     q, h = tpl.parts(np.array([-4.0, -4.0]))
     first, again = solver.solve(q, h), solver.solve(q, h)
     assert first.is_optimal and first.diagnostics["factorizations"] >= 1
     assert again.diagnostics["factorizations"] == 0
     assert np.array_equal(first.x_opt, again.x_opt)
+
+
+def test_hard_state_adapts_step_size_reproducibly(default_problem, default_controller):
+    # a far feasible grid state at N_t = 5 needs more than one step size
+    lo, hi = default_problem.system.X.bounding_box()
+    axis = np.linspace(lo[0], hi[0], 10)
+    x = np.array([axis[2], axis[1]])  # (-4.44..., -6.22...)
+    tpl = default_controller.templates[5]
+    solver = ParametricQP(tpl.Q, tpl.G, settings=default_controller.solvers[5].settings)
+    q, h = tpl.parts(x)
+    first, again = solver.solve(q, h), solver.solve(q, h)
+    assert first.is_optimal and first.diagnostics["rho_updates"] >= 1
+    assert again.iterations == first.iterations
+    assert again.diagnostics["rho_updates"] == first.diagnostics["rho_updates"]
+    assert np.array_equal(first.x_opt, again.x_opt) and np.array_equal(first.y_ineq, again.y_ineq)
+    assert first.objective == again.objective
 
 
 def test_psd_validation_rejects_indefinite():
