@@ -19,7 +19,6 @@ import numpy as np
 from .controller import AdaptiveController, CaseNTemplate, MPCSolution, _controller_for, lyapunov_series
 from .errors import EmptyTerminalSetError
 from .geometry import Polytope, max_robust_invariant
-from .qpsolver import ADMMSettings
 from .system import NetAdditiveBound, UncertainSystem, net_additive_bound
 
 
@@ -68,7 +67,7 @@ class BaselineController(AdaptiveController):
     ``template`` and ``solver`` name the bank's only horizon problem.
     """
 
-    def __init__(self, sys: UncertainSystem, cfg: BaselineConfig, settings: ADMMSettings | None = None):
+    def __init__(self, sys: UncertainSystem, cfg: BaselineConfig):
         self.template = CaseNTemplate(
             sys,
             cfg.X_N_lump.H,
@@ -79,7 +78,7 @@ class BaselineController(AdaptiveController):
             cfg.bound.w_tilde_max,
             cfg.N,
         )
-        self._prepare(sys, cfg, {cfg.N: self.template}, settings)
+        self._prepare(sys, cfg, {cfg.N: self.template})
         self.solver = self.solvers[cfg.N]
 
     # ``__init__`` and ``solve`` live in this class body, and ``__init__`` does

@@ -253,7 +253,6 @@ def build_parser():
     def common(sp, *, seed=False, x0=False, steps=False, svg=False, out_required=True):
         sp.add_argument("--problem", required=True, help='problem JSON path (or "default")')
         sp.add_argument("--out", required=out_required, help="output file path")
-        sp.add_argument("--jobs", type=int, default=1, help="worker cap for parallel parts")
         if seed:
             sp.add_argument("--seed", type=int, default=None, help="RNG seed (default: problem file)")
         if x0:
@@ -279,6 +278,7 @@ def build_parser():
     common(sp, svg=True)
     sp.add_argument("--grid", type=int, default=10, help="grid points per axis")
     sp.add_argument("--baseline", action="store_true", help="also evaluate the lumped baseline")
+    sp.add_argument("--jobs", type=int, default=1, help="worker cap for the grid evaluation")
     sp.set_defaults(func=cmd_roa)
 
     sp = sub.add_parser("rollout", help="open-loop safe rollout of the time-0 plan")

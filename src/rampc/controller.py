@@ -44,7 +44,7 @@ from .errors import (
 )
 from .geometry import Polytope, max_robust_invariant, projection_cuts, support, support_lp_many
 from .prediction import FeedbackGainStack, build_stacked, policy_input
-from .qpsolver import ADMMSettings, ParametricQP, QuadraticProgram, SolveOutcome, SolveStatus
+from .qpsolver import ParametricQP, QuadraticProgram, SolveOutcome, SolveStatus
 from .system import NetAdditiveBound, UncertainSystem, net_additive_bound
 
 _EQ19_TOL = 1e-8
@@ -520,24 +520,21 @@ class AdaptiveController:
     bank of one horizon.
     """
 
-    def __init__(self, sys: UncertainSystem, cfg: MPCConfig, settings: ADMMSettings | None = None):
+    def __init__(self, sys: UncertainSystem, cfg: MPCConfig):
         t = cfg.terminal
         templates = {1: Case1Template(sys, t, cfg.P, cfg.R)}
         for n in range(2, cfg.N + 1):
             templates[n] = CaseNTemplate(
                 sys, t.X_N.H, t.X_N.h, cfg.P, cfg.R, t.P_N, cfg.bound.w_tilde_max, n
             )
-        self._prepare(sys, cfg, templates, settings)
+        self._prepare(sys, cfg, templates)
 
-    def _prepare(self, sys, cfg, templates, settings):
+    def _prepare(self, sys, cfg, templates):
         """Factor every template's QP and its pruning bound map."""
         self.sys = sys
         self.cfg = cfg
         self.templates = templates
-        self.solvers = {
-            n: ParametricQP(tpl.Q, tpl.G, settings=settings)
-            for n, tpl in templates.items()
-        }
+        self.solvers = {n: ParametricQP(tpl.Q, tpl.G) for n, tpl in templates.items()}
         self.bound_maps = {n: _bound_map(tpl) for n, tpl in templates.items()}
         # horizon -> geometry.ProjectionCuts of F_n, built on its first INFEASIBLE verdict
         self.feasible_sets = {}

@@ -1,39 +1,39 @@
 """Operator-splitting QP solver with KKT-verified results.
 
-The solver follows the standard scaled ADMM scheme for
+Every QP the package poses has one form,
 
-    min 1/2 x'Qx + q'x   s.t.   G x <= h,  A_eq x = b_eq,
+    min 1/2 x'Qx + q'x   s.t.   G x <= h,
 
-rewritten with a slack vector z and box bounds lo <= z <= up (equalities get
-lo = up).  A ``ParametricQP`` is prepared once for fixed (Q, G, A_eq) and
-solved repeatedly for varying (q, h, b_eq): the Ruiz equilibration, the
-sparse (CSR) constraint matrices and the sparse factor of the x-update
-matrix P + sigma*I + A' diag(rho) A are computed at preparation time and
-reused, which is what makes receding-horizon use cheap.  The factor is a
+and the solver follows the standard scaled ADMM scheme for it, with a slack
+vector z clipped from above at h.  A ``ParametricQP`` is prepared once for
+fixed (Q, G) and solved repeatedly for varying (q, h): the Ruiz
+equilibration, the sparse (CSR) constraint matrices and the sparse factor of
+the x-update matrix P + sigma*I + rho G'G are computed at preparation time
+and reused, which is what makes receding-horizon use cheap.  The factor is a
 SuperLU factorization in a fill-reducing symmetric order without pivoting,
 which is exact for this symmetric positive definite matrix; one is kept per
 step size the loop has visited.  Each ``solve`` is a pure function of its
 arguments (iterates and step-size adaptation always restart from the same
-state), so repeated solves are bitwise reproducible.
+state), so repeated solves are bitwise reproducible.  The ADMM constants are
+fixed module constants; nothing about the iteration is configurable.
 
-Accuracy model: the ADMM loop checks its residuals every ``check_every``
+Accuracy model: the ADMM loop checks its residuals every ``_CHECK_EVERY``
 iterations and, at every second check, adapts the step size from the ratio
 of the primal to the dual residual (Boyd et al. 2011, sec. 3.4.1; Stellato
 et al. 2020).  Once the residuals reach a moderate tolerance, the unscaled
-iterate (inequality duals clipped at zero) is verified against absolute
-1e-8 primal feasibility, dual sign and stationarity.  If that check fails,
-the residual target is tightened to 1e-10 and every later check verifies
-the iterate again, returning as soon as it meets the 1e-8 contract; an
-iterate that reaches 1e-10 residuals and still fails is NUMERICAL_FAILURE,
-never a result that misses the contract.  Every OPTIMAL result is the
-verified ADMM iterate.  An INFEASIBLE verdict is never emitted on ADMM
-evidence alone: it is confirmed by an exact LP feasibility probe and
-carries a verified Farkas certificate.
+iterate (duals clipped at zero) is verified against absolute 1e-8 primal
+feasibility, dual sign and stationarity.  If that check fails, the residual
+target is tightened to 1e-10 and every later check verifies the iterate
+again, returning as soon as it meets the 1e-8 contract; an iterate that
+reaches 1e-10 residuals and still fails is NUMERICAL_FAILURE, never a result
+that misses the contract.  Every OPTIMAL result is the verified ADMM
+iterate.  An INFEASIBLE verdict is never emitted on ADMM evidence alone: it
+is confirmed by an exact LP feasibility probe and carries a verified Farkas
+certificate.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,37 +44,26 @@ from .types import QuadraticProgram, SolveOutcome, SolveStatus
 
 KERNEL = "sparse"
 
+_SIGMA = 1e-6
+_ALPHA = 1.6
+_RHO = 0.1  # initial step size
+# first residual target (absolute and relative); after a failed KKT check it
+# becomes 1e-10, and from then on every check tries the KKT contract
+_EPS = 1e-6
+_EPS_INF = 1e-4  # first threshold of both infeasibility signals
+_MAX_ITER = 50_000
+# iterations between residual checks; at every second check (every
+# 2 * _CHECK_EVERY iterations) the step size adapts to _RHO times a factor
+# within [1e-4, 1e4], in half-decade steps and only when the new factor
+# differs by more than 5x
+_CHECK_EVERY = 25
+_RUIZ_ITERS = 10
+_KKT_TOL = 1e-8  # the contract every OPTIMAL result meets
+
 
 def active_kernel():
     """Name of the ADMM iteration kernel (there is one: sparse factor and matvecs)."""
     return KERNEL
-
-
-@dataclass(frozen=True)
-class ADMMSettings:
-    sigma: float = 1e-6
-    alpha: float = 1.6
-    rho: float = 0.1  # initial step size; equality rows get rho * rho_eq_scale
-    rho_eq_scale: float = 1e3
-    # first residual target; after a failed KKT check it becomes 1e-10, and
-    # from then on every check tries the KKT contract
-    eps_abs: float = 1e-6
-    eps_rel: float = 1e-6
-    eps_pinf: float = 1e-4
-    eps_dinf: float = 1e-4
-    max_iter: int = 50_000
-    check_every: int = 25  # iterations between residual checks
-    ruiz_iters: int = 10
-    # adapt the step size at every second check (every 2 * check_every
-    # iterations) by a factor of rho within [1e-4, 1e4], in half-decade
-    # steps and only when the new factor differs by more than 5x
-    adaptive_rho: bool = True
-    kkt_tol: float = 1e-8  # the contract every OPTIMAL result meets
-
-
-DEFAULT_SETTINGS = ADMMSettings()
-
-_INF = np.inf
 
 
 def _ruiz_equilibrate(P, A, iters):
@@ -109,10 +98,10 @@ def _ruiz_equilibrate(P, A, iters):
     return d, e, c
 
 
-def _admm_batch(lu, A, At, q, lo, up, rho, rho_inv, sigma, alpha, x, z, y, n_iter):
+def _admm_batch(lu, A, At, q, up, rho, rho_inv, x, z, y, n_iter):
     """Run ``n_iter`` ADMM iterations on the scaled problem.
 
-    Solves min 1/2 x'Px + q'x s.t. lo <= Ax <= up, given the factor ``lu`` of
+    Solves min 1/2 x'Px + q'x s.t. Ax <= up, given the factor ``lu`` of
     P + sigma*I + A' diag(rho) A and A, A' in CSR form.  Returns the new
     iterates and the last-iteration increments (x, z, y, dx, dy); the caller
     uses the increments for infeasibility detection.
@@ -120,12 +109,12 @@ def _admm_batch(lu, A, At, q, lo, up, rho, rho_inv, sigma, alpha, x, z, y, n_ite
     dx = np.zeros_like(x)
     dy = np.zeros_like(y)
     for _ in range(n_iter):
-        rhs = sigma * x - q + At @ (rho * z - y)
+        rhs = _SIGMA * x - q + At @ (rho * z - y)
         xt = lu.solve(rhs)
         zt = A @ xt
-        x_new = alpha * xt + (1.0 - alpha) * x
-        ztmp = alpha * zt + (1.0 - alpha) * z + rho_inv * y
-        z_new = np.minimum(np.maximum(ztmp, lo), up)
+        x_new = _ALPHA * xt + (1.0 - _ALPHA) * x
+        ztmp = _ALPHA * zt + (1.0 - _ALPHA) * z + rho_inv * y
+        z_new = np.minimum(ztmp, up)
         y_new = rho * (ztmp - z_new)
         np.subtract(x_new, x, out=dx)
         np.subtract(y_new, y, out=dy)
@@ -139,40 +128,26 @@ def _quantize_rho(rho):
 
 
 class ParametricQP:
-    """Prepared solver for fixed (Q, G_ineq, A_eq) and varying (q, h, b_eq)."""
+    """Prepared solver for fixed (Q, G) and varying (q, h)."""
 
-    def __init__(self, Q, G_ineq, A_eq=None, settings: ADMMSettings | None = None):
-        self.settings = settings or DEFAULT_SETTINGS
+    def __init__(self, Q, G_ineq):
         Q = np.ascontiguousarray(np.asarray(Q, dtype=float))
         G = np.ascontiguousarray(np.atleast_2d(np.asarray(G_ineq, dtype=float)))
         self.n = Q.shape[0]
+        self.m = G.shape[0]
         self.Q = Q
         self.G = G
-        self.m_in = G.shape[0]
-        if A_eq is not None and len(A_eq):
-            A_eq = np.ascontiguousarray(np.atleast_2d(np.asarray(A_eq, dtype=float)))
-            self.A_eq = A_eq
-            self.m_eq = A_eq.shape[0]
-            A = np.vstack([G, A_eq]) if self.m_in else A_eq
-        else:
-            self.A_eq = None
-            self.m_eq = 0
-            A = G
-        self.m = self.m_in + self.m_eq
 
-        s = self.settings
-        self.d, self.e, self.c = _ruiz_equilibrate(Q, A, s.ruiz_iters)
-        # unscaled A for the residuals and the equilibrated A_s for the loop
-        self.A = sp.csr_matrix(A)
+        self.d, self.e, self.c = _ruiz_equilibrate(Q, G, _RUIZ_ITERS)
+        # unscaled G for the residuals and the equilibrated A_s for the loop
+        self.A = sp.csr_matrix(G)
         self.At = self.A.T.tocsr()
-        self.A_s = sp.csr_matrix(A * self.e[:, None] * self.d[None, :])
+        self.A_s = sp.csr_matrix(G * self.e[:, None] * self.d[None, :])
         self.At_s = self.A_s.T.tocsr()
         self.P_s = sp.csc_matrix(self.c * (Q * self.d[:, None] * self.d[None, :]))
-        self._P_sigma = self.P_s + s.sigma * sp.identity(self.n, format="csc")
+        self._P_sigma = self.P_s + _SIGMA * sp.identity(self.n, format="csc")
 
-        rho = np.full(self.m, s.rho)
-        rho[self.m_in :] *= s.rho_eq_scale
-        self._base_rho = rho
+        self._base_rho = np.full(self.m, _RHO)
         self._factor_cache = {}
         self._factor(1.0)  # warm the cache at the base step size
 
@@ -223,22 +198,19 @@ class ParametricQP:
         return r_p, r_d, scale_p, scale_d
 
     # -- infeasibility signals ----------------------------------------------
-    def _primal_inf_signal(self, dyu, lo, up, eps):
+    def _primal_inf_signal(self, dyu, up, eps):
         nrm = float(np.max(np.abs(dyu), initial=0.0))
         if nrm <= 1e-14:
             return False
         if float(np.max(np.abs(self.At @ dyu))) > eps * nrm:
             return False
-        pos = np.maximum(dyu, 0.0)
-        neg = np.minimum(dyu, 0.0)
-        # rows with an infinite bound must not contribute in that direction
-        if np.any(neg[np.isinf(lo)] < -eps * nrm):
+        # every row is unbounded below, so a certificate direction is >= 0
+        if np.any(dyu < -eps * nrm):
             return False
-        sup = float(up[np.isfinite(up)] @ pos[np.isfinite(up)])
-        sup += float(lo[np.isfinite(lo)] @ neg[np.isfinite(lo)])
-        return sup < -eps * nrm
+        fin = np.isfinite(up)
+        return float(up[fin] @ np.maximum(dyu, 0.0)[fin]) < -eps * nrm
 
-    def _dual_inf_signal(self, dxu, q, lo, up, eps):
+    def _dual_inf_signal(self, dxu, q, up, eps):
         nrm = float(np.max(np.abs(dxu), initial=0.0))
         if nrm <= 1e-14:
             return False
@@ -247,49 +219,31 @@ class ParametricQP:
         if float(q @ dxu) > -eps * nrm:
             return False
         Adx = self.A @ dxu if self.m else np.zeros(0)
-        up_f = np.isfinite(up)
-        lo_f = np.isfinite(lo)
-        if np.any(Adx[up_f] > eps * nrm) or np.any(Adx[lo_f] < -eps * nrm):
-            return False
-        return True
+        return not np.any(Adx[np.isfinite(up)] > eps * nrm)
 
-    def _kkt_ok(self, x, y_in, y_eq, q, h, b):
-        tol = self.settings.kkt_tol
-        if self.m_in:
-            if float(np.max(self.G @ x - h)) > tol:
+    def _kkt_ok(self, x, y, q, h):
+        if self.m:
+            if float(np.max(self.G @ x - h)) > _KKT_TOL:
                 return False
-            if float(y_in.min(initial=0.0)) < -tol:
+            if float(y.min(initial=0.0)) < -_KKT_TOL:
                 return False
-        if self.m_eq and float(np.max(np.abs(self.A_eq @ x - b))) > tol:
-            return False
         r_d = self.Q @ x + q
-        if self.m_in:
-            r_d = r_d + self.G.T @ y_in
-        if self.m_eq:
-            r_d = r_d + self.A_eq.T @ y_eq
-        return float(np.max(np.abs(r_d))) <= tol * max(1.0, float(np.max(np.abs(q), initial=0.0)))
+        if self.m:
+            r_d = r_d + self.G.T @ y
+        return float(np.max(np.abs(r_d))) <= _KKT_TOL * max(1.0, float(np.max(np.abs(q), initial=0.0)))
 
     # -- main solve -----------------------------------------------------------
-    def solve(self, q, h_ineq, b_eq=None) -> SolveOutcome:
+    def solve(self, q, h_ineq) -> SolveOutcome:
         t0 = time.perf_counter()
-        s = self.settings
         q = np.ascontiguousarray(np.asarray(q, dtype=float).reshape(-1))
         h = (
             np.ascontiguousarray(np.asarray(h_ineq, dtype=float).reshape(-1))
-            if self.m_in
+            if self.m
             else np.zeros(0)
         )
-        b = (
-            np.ascontiguousarray(np.asarray(b_eq, dtype=float).reshape(-1))
-            if self.m_eq
-            else np.zeros(0)
-        )
-        lo = np.concatenate([np.full(self.m_in, -_INF), b])
-        up = np.concatenate([h, b])
         # scaled data
         q_s = self.c * self.d * q
-        lo_s = self.e * lo
-        up_s = self.e * up
+        h_s = self.e * h
 
         rho_scale = 1.0
         n_factors = len(self._factor_cache)  # the cache only grows: misses = growth
@@ -298,10 +252,9 @@ class ParametricQP:
         z = np.zeros(self.m)
         y = np.zeros(self.m)
         iters = 0
-        eps_pinf = s.eps_pinf
-        eps_dinf = s.eps_dinf
+        eps_pinf = eps_dinf = _EPS_INF
         false_alarms = 0
-        eps_abs, eps_rel = s.eps_abs, s.eps_rel
+        eps = _EPS
         tightened = False
         rho_updates = 0
 
@@ -318,53 +271,45 @@ class ParametricQP:
             out.solve_time = time.perf_counter() - t0
             return out
 
-        while iters < s.max_iter:
+        while iters < _MAX_ITER:
             x, z, y, dx, dy = _admm_batch(
-                lu, self.A_s, self.At_s, q_s, lo_s, up_s, rho, rho_inv,
-                s.sigma, s.alpha, x, z, y, s.check_every,
+                lu, self.A_s, self.At_s, q_s, h_s, rho, rho_inv, x, z, y, _CHECK_EVERY
             )
-            iters += s.check_every
+            iters += _CHECK_EVERY
             xu, zu, yu = self._unscale(x, z, y)
             r_p, r_d, scale_p, scale_d = self._residuals(xu, zu, yu, q)
-            eps_p = eps_abs + eps_rel * scale_p
-            eps_d = eps_abs + eps_rel * scale_d
+            eps_p = eps + eps * scale_p
+            eps_d = eps + eps * scale_d
             converged = r_p <= eps_p and r_d <= eps_d
             # once tightened, every check tries the contract itself: 1e-10
             # residuals only decide when to give up
             if converged or tightened:
-                y_in = np.maximum(yu[: self.m_in], 0.0)
-                y_eq = yu[self.m_in :]
-                if self._kkt_ok(xu, y_in, y_eq, q, h, b):
+                y_ineq = np.maximum(yu, 0.0)
+                if self._kkt_ok(xu, y_ineq, q, h):
                     obj = float(0.5 * xu @ (self.Q @ xu) + q @ xu)
-                    return finish(
-                        SolveStatus.OPTIMAL,
-                        x_opt=xu,
-                        objective=obj,
-                        y_ineq=y_in,
-                        y_eq=y_eq if self.m_eq else None,
-                    )
+                    return finish(SolveStatus.OPTIMAL, x_opt=xu, objective=obj, y_ineq=y_ineq)
             if converged:
                 if not tightened:  # KKT check failed: push the loop further first
-                    eps_abs = eps_rel = 1e-10
+                    eps = 1e-10
                     tightened = True
                     continue
                 return finish(SolveStatus.NUMERICAL_FAILURE)
             # infeasibility detection (confirmed exactly before reporting)
             dxu = self.d * dx
             dyu = self.e * dy / self.c
-            if self._primal_inf_signal(dyu, lo, up, eps_pinf):
-                feas, cert = feasible_point(self.G, h, self.A_eq, b if self.m_eq else None)
+            if self._primal_inf_signal(dyu, h, eps_pinf):
+                feas, cert = feasible_point(self.G, h)
                 if feas is False and cert is not None:
                     return finish(SolveStatus.INFEASIBLE, farkas=cert)
                 false_alarms += 1
                 eps_pinf *= 1e-2
                 if false_alarms > 2:
                     eps_pinf = 0.0  # stop checking; rely on convergence
-            if self._dual_inf_signal(dxu, q, lo, up, eps_dinf):
+            if self._dual_inf_signal(dxu, q, h, eps_dinf):
                 return finish(
                     SolveStatus.UNBOUNDED, diagnostics={"ray": dxu / max(np.max(np.abs(dxu)), 1e-30)}
                 )
-            if s.adaptive_rho and iters % (2 * s.check_every) == 0 and r_d > 0:
+            if iters % (2 * _CHECK_EVERY) == 0 and r_d > 0:
                 ratio = (r_p / max(eps_p, 1e-30)) / (r_d / max(eps_d, 1e-30))
                 new_scale = _quantize_rho(rho_scale * float(np.sqrt(ratio)))
                 new_scale = min(max(new_scale, 1e-4), 1e4)
@@ -373,13 +318,12 @@ class ParametricQP:
                     rho_updates += 1
                     lu, rho, rho_inv = self._factor(rho_scale)
         # iteration cap: settle feasibility exactly, then give up honestly
-        feas, cert = feasible_point(self.G, h, self.A_eq, b if self.m_eq else None)
+        feas, cert = feasible_point(self.G, h)
         if feas is False and cert is not None:
             return finish(SolveStatus.INFEASIBLE, farkas=cert)
         return finish(SolveStatus.NUMERICAL_FAILURE)
 
 
-def solve_qp(prog: QuadraticProgram, settings: ADMMSettings | None = None) -> SolveOutcome:
+def solve_qp(prog: QuadraticProgram) -> SolveOutcome:
     """One-shot QP solve; see ParametricQP for the receding-horizon path."""
-    pqp = ParametricQP(prog.Q, prog.G_ineq, prog.A_eq, settings)
-    return pqp.solve(prog.q, prog.h_ineq, prog.b_eq)
+    return ParametricQP(prog.Q, prog.G_ineq).solve(prog.q, prog.h_ineq)

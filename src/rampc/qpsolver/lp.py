@@ -27,21 +27,19 @@ _STATUS_MAP = {
 }
 
 
-def _run_linprog(c, G, h, A_eq=None, b_eq=None):
+def _run_linprog(c, G, h):
     return linprog(
         c,
         A_ub=G if G is not None and len(G) else None,
         b_ub=h if G is not None and len(G) else None,
-        A_eq=A_eq if A_eq is not None and len(A_eq) else None,
-        b_eq=b_eq if A_eq is not None and len(A_eq) else None,
         bounds=(None, None),
         method="highs",
         options=_HIGHS_OPTIONS,
     )
 
 
-def solve_lp(c, G_ineq, h_ineq, A_eq=None, b_eq=None) -> SolveOutcome:
-    """Minimize c'x subject to G_ineq x <= h_ineq (and optional equalities).
+def solve_lp(c, G_ineq, h_ineq) -> SolveOutcome:
+    """Minimize c'x subject to G_ineq x <= h_ineq.
 
     Distinguishes INFEASIBLE from UNBOUNDED; an INFEASIBLE verdict always
     carries a verified Farkas certificate.
@@ -50,7 +48,7 @@ def solve_lp(c, G_ineq, h_ineq, A_eq=None, b_eq=None) -> SolveOutcome:
     c = np.asarray(c, dtype=float).reshape(-1)
     G = np.atleast_2d(np.asarray(G_ineq, dtype=float)) if G_ineq is not None else None
     h = np.asarray(h_ineq, dtype=float).reshape(-1) if h_ineq is not None else None
-    res = _run_linprog(c, G, h, A_eq, b_eq)
+    res = _run_linprog(c, G, h)
     status = _STATUS_MAP.get(res.status, SolveStatus.NUMERICAL_FAILURE)
     out = SolveOutcome(status=status, backend="highs")
     if status is SolveStatus.OPTIMAL:
@@ -58,10 +56,8 @@ def solve_lp(c, G_ineq, h_ineq, A_eq=None, b_eq=None) -> SolveOutcome:
         out.objective = float(c @ out.x_opt)
         if G is not None and res.ineqlin is not None:
             out.y_ineq = -np.asarray(res.ineqlin.marginals, dtype=float)
-        if A_eq is not None and res.eqlin is not None:
-            out.y_eq = -np.asarray(res.eqlin.marginals, dtype=float)
     elif status is SolveStatus.INFEASIBLE:
-        cert = farkas_certificate(G, h, A_eq, b_eq)
+        cert = farkas_certificate(G, h)
         if cert is None:
             out.status = SolveStatus.NUMERICAL_FAILURE
         else:
@@ -70,8 +66,8 @@ def solve_lp(c, G_ineq, h_ineq, A_eq=None, b_eq=None) -> SolveOutcome:
     return out
 
 
-def feasible_point(G, h, A_eq=None, b_eq=None):
-    """Probe feasibility of {x : Gx <= h, A_eq x = b_eq}.
+def feasible_point(G, h):
+    """Probe feasibility of {x : Gx <= h}.
 
     Returns one of:
       (True, x)      the set is nonempty and x is a point in it;
@@ -81,59 +77,38 @@ def feasible_point(G, h, A_eq=None, b_eq=None):
     Never raises on a failed LP: callers treat anything but (False, cert)
     with a certificate as no proof of infeasibility.
     """
-    n = G.shape[1] if G is not None and len(G) else A_eq.shape[1]
-    res = _run_linprog(np.zeros(n), G, h, A_eq, b_eq)
+    res = _run_linprog(np.zeros(G.shape[1]), G, h)
     if res.status == 0:
         return True, np.asarray(res.x, dtype=float)
     if res.status == 2:
-        return False, farkas_certificate(G, h, A_eq, b_eq)
+        return False, farkas_certificate(G, h)
     return None, None
 
 
-def farkas_certificate(G, h, A_eq=None, b_eq=None, tol=1e-9):
-    """Produce a Farkas infeasibility certificate for {Gx<=h, A_eq x=b_eq}.
+def farkas_certificate(G, h, tol=1e-9):
+    """Produce a Farkas infeasibility certificate for {x : Gx <= h}.
 
     Solves the alternative LP
-        min  h'y + b'nu
-        s.t. G'y + A'nu = 0,  sum(y) + sum(|nu|) = 1,  y >= 0,
+        min  h'y   s.t.  G'y = 0,  sum(y) = 1,  y >= 0,
     whose optimum is < 0 iff the original system is infeasible.  Returns
-    {"y": y, "nu": nu, "gap": h'y + b'nu} or None when no certificate could
-    be produced and verified.
+    {"y": y, "nu": empty, "gap": h'y} or None when no certificate could be
+    produced and verified.
     """
-    m_in = G.shape[0] if G is not None and len(G) else 0
-    m_eq = A_eq.shape[0] if A_eq is not None and len(A_eq) else 0
-    n = G.shape[1] if m_in else A_eq.shape[1]
-    # variables: [y (m_in), nu_plus (m_eq), nu_minus (m_eq)]
-    blocks = []
-    cost = []
-    if m_in:
-        blocks.append(np.asarray(G, dtype=float).T)
-        cost.append(np.asarray(h, dtype=float))
-    if m_eq:
-        At = np.asarray(A_eq, dtype=float).T
-        blocks.extend([At, -At])
-        b = np.asarray(b_eq, dtype=float)
-        cost.extend([b, -b])
-    A_alt = np.hstack(blocks)
-    c_alt = np.concatenate(cost)
-    n_vars = A_alt.shape[1]
-    A_aeq = np.vstack([A_alt, np.ones((1, n_vars))])
-    b_aeq = np.concatenate([np.zeros(n), [1.0]])
+    G = np.asarray(G, dtype=float)
+    h = np.asarray(h, dtype=float)
+    m, n = G.shape
     res = linprog(
-        c_alt,
-        A_eq=A_aeq,
-        b_eq=b_aeq,
+        h,
+        A_eq=np.vstack([G.T, np.ones((1, m))]),
+        b_eq=np.concatenate([np.zeros(n), [1.0]]),
         bounds=(0.0, None),
         method="highs",
         options=_HIGHS_OPTIONS,
     )
     if res.status != 0 or res.fun > -tol:
         return None
-    sol = np.asarray(res.x, dtype=float)
-    y = sol[:m_in] if m_in else np.zeros(0)
-    nu = sol[m_in : m_in + m_eq] - sol[m_in + m_eq :] if m_eq else np.zeros(0)
-    cert = {"y": y, "nu": nu, "gap": float(res.fun)}
-    if verify_farkas(G, h, A_eq, b_eq, cert):
+    cert = {"y": np.asarray(res.x, dtype=float), "nu": np.zeros(0), "gap": float(res.fun)}
+    if verify_farkas(G, h, None, None, cert):
         return cert
     return None
 

@@ -42,7 +42,7 @@ def check_psd(Q, name="Q"):
 
 @dataclass(frozen=True)
 class QuadraticProgram:
-    """min 1/2 x'Qx + q'x  s.t.  G_ineq x <= h_ineq, A_eq x = b_eq.
+    """min 1/2 x'Qx + q'x  s.t.  G_ineq x <= h_ineq.
 
     Q must be symmetric PSD; all dimensions are validated on construction.
     """
@@ -51,8 +51,6 @@ class QuadraticProgram:
     q: np.ndarray
     G_ineq: np.ndarray
     h_ineq: np.ndarray
-    A_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
 
     def __post_init__(self):
         Q = _as_matrix(self.Q, "Q")
@@ -67,20 +65,10 @@ class QuadraticProgram:
         if G.shape[1] != n or h.shape[0] != G.shape[0]:
             raise ValueError("inconsistent inequality dimensions")
         check_psd(Q)
-        A_eq, b_eq = self.A_eq, self.b_eq
-        if (A_eq is None) != (b_eq is None):
-            raise ValueError("A_eq and b_eq must be given together")
-        if A_eq is not None:
-            A_eq = _as_matrix(A_eq, "A_eq")
-            b_eq = _as_vector(b_eq, "b_eq")
-            if A_eq.shape[1] != n or b_eq.shape[0] != A_eq.shape[0]:
-                raise ValueError("inconsistent equality dimensions")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "G_ineq", G)
         object.__setattr__(self, "h_ineq", h)
-        object.__setattr__(self, "A_eq", A_eq)
-        object.__setattr__(self, "b_eq", b_eq)
 
     @property
     def n(self):
@@ -94,8 +82,9 @@ class SolveOutcome:
     When status is OPTIMAL, ``x_opt`` satisfies the constraints to 1e-8 and
     ``objective`` equals 1/2 x'Qx + q'x (c'x for LPs) evaluated at ``x_opt``.
     When status is INFEASIBLE, ``farkas`` holds a verified certificate
-    {"y": ..., "nu": ..., "gap": ...} with y >= 0, G'y + A'nu = 0 and
-    gap = h'y + b'nu < 0.  ``backend`` names what produced the outcome:
+    {"y": ..., "nu": ..., "gap": ...} with y >= 0, G'y = 0 and
+    gap = h'y < 0; ``nu`` is always empty, since no problem has equality
+    rows.  ``backend`` names what produced the outcome:
     "highs" for the LP layer, "sparse" for the ADMM solver and "facets" for
     an INFEASIBLE verdict a controller read off a stored facet of a
     horizon's feasible set (``diagnostics["facet"]`` is its index).
@@ -113,7 +102,6 @@ class SolveOutcome:
     objective: float = float("nan")
     solve_time: float = 0.0
     y_ineq: np.ndarray | None = None
-    y_eq: np.ndarray | None = None
     farkas: dict | None = None
     iterations: int = 0
     polished: bool = False

@@ -74,7 +74,7 @@ def random_stable_system_2d(rng, da=0.03, db=0.03, w=0.08):
             A_bar=A,
             B_bar=B,
             deltaA_vertices=(da * np.eye(2), -da * np.eye(2)),
-            deltaB_vertices=(da * np.ones((2, 1)), -db * np.ones((2, 1))),
+            deltaB_vertices=(db * np.ones((2, 1)), -db * np.ones((2, 1))),
             W=Polytope.from_box([-w, -w], [w, w]),
             X=Polytope.from_box([-5, -5], [5, 5]),
             U=Polytope.from_box([-3], [3]),

@@ -503,8 +503,8 @@ class TestPruning:
         solved = []
         for ctl, cases in bank_cases.values():
             for n, solver in ctl.solvers.items():
-                def recorded(q, h, b_eq=None, n=n, ctl=ctl, solve=solver.solve):
-                    out = solve(q, h, b_eq)
+                def recorded(q, h, n=n, ctl=ctl, solve=solver.solve):
+                    out = solve(q, h)
                     solved.append((ctl, n, q, h, out))
                     return out
 
@@ -561,9 +561,9 @@ def _count_qp_solves(monkeypatch, ctl):
     """Per-horizon count of ParametricQP.solve calls made by ``ctl``."""
     calls = dict.fromkeys(ctl.solvers, 0)
     for n, solver in ctl.solvers.items():
-        def counted(q, h, b_eq=None, n=n, solve=solver.solve):
+        def counted(q, h, n=n, solve=solver.solve):
             calls[n] += 1
-            return solve(q, h, b_eq)
+            return solve(q, h)
 
         monkeypatch.setattr(solver, "solve", counted)
     return calls

@@ -7,6 +7,7 @@ from rampc.qpsolver import (
     ParametricQP,
     QuadraticProgram,
     SolveStatus,
+    admm,
     solve_lp,
     solve_qp,
     verify_farkas,
@@ -86,21 +87,6 @@ def test_unbounded_qp_detected():
     assert out.status is SolveStatus.UNBOUNDED
 
 
-def test_equality_constraints():
-    out = solve_qp(
-        QuadraticProgram(
-            Q=2 * np.eye(2),
-            q=[0.0, 0.0],
-            G_ineq=np.zeros((1, 2)),
-            h_ineq=[1.0],
-            A_eq=[[1.0, 1.0]],
-            b_eq=[2.0],
-        )
-    )
-    assert out.status is SolveStatus.OPTIMAL
-    np.testing.assert_allclose(out.x_opt, [1.0, 1.0], atol=1e-8)
-
-
 def test_determinism_bitwise():
     rng = np.random.default_rng(3)
     Q = np.diag(np.concatenate([np.ones(4), np.zeros(8)]))
@@ -160,7 +146,7 @@ def test_factor_solves_dense_x_update_system(default_problem, default_cfg, defau
         A_s = solver.A_s.toarray()
         for scale in (1e-4, 1.0, 1e4):
             lu, rho, _ = solver._factor(scale)
-            M = solver.P_s.toarray() + solver.settings.sigma * np.eye(solver.n) + (A_s.T * rho) @ A_s
+            M = solver.P_s.toarray() + admm._SIGMA * np.eye(solver.n) + (A_s.T * rho) @ A_s
             b = rng.normal(size=solver.n)
             residual = np.linalg.norm(M @ lu.solve(b) - b)
             assert residual <= 1e-10 * np.linalg.norm(b), (solver.n, scale, residual)
@@ -169,7 +155,7 @@ def test_factor_solves_dense_x_update_system(default_problem, default_cfg, defau
 def test_diagnostics_report_tightening_and_factorizations(default_controller):
     def fresh(n):  # a solver whose factor cache holds only the base step size
         tpl = default_controller.templates[n]
-        return tpl, ParametricQP(tpl.Q, tpl.G, settings=default_controller.solvers[n].settings)
+        return tpl, ParametricQP(tpl.Q, tpl.G)
 
     # N_t = 1 at (3, -2): the 1e-6 stop misses the 1e-8 KKT check and is tightened
     tpl, solver = fresh(1)
@@ -192,7 +178,7 @@ def test_hard_state_adapts_step_size_reproducibly(default_problem, default_contr
     axis = np.linspace(lo[0], hi[0], 10)
     x = np.array([axis[2], axis[1]])  # (-4.44..., -6.22...)
     tpl = default_controller.templates[5]
-    solver = ParametricQP(tpl.Q, tpl.G, settings=default_controller.solvers[5].settings)
+    solver = ParametricQP(tpl.Q, tpl.G)
     q, h = tpl.parts(x)
     first, again = solver.solve(q, h), solver.solve(q, h)
     assert first.is_optimal and first.diagnostics["rho_updates"] >= 1
