@@ -5,20 +5,22 @@ sets, net-additive uncertainty bounding, disturbance-feedback predictions,
 a certified LP/QP solve layer, the adaptive-horizon robust controller, a
 conservative lumped baseline, closed-loop simulation with stability
 monitors, grid-sampled ROA estimation and timing benchmarks, plus a CLI.
+
+A controller is an object prepared once per system and config,
+``AdaptiveController`` or ``BaselineController``: ``solve(x)`` returns an
+``MPCSolution`` (an all-infeasible bank is data) and ``step(x)`` the applied
+input, raising ``AllHorizonsInfeasibleError`` instead.  One horizon's QP is
+posed by ``controller.Case1Template``/``CaseNTemplate`` and ``parts(x)``.
 """
 from . import baseline, controller, geometry, prediction, qpsolver, simulator, system
-from .baseline import BaselineConfig, BaselineController, baseline_solve, make_baseline_config
+from .baseline import BaselineConfig, BaselineController, make_baseline_config
 from .controller import (
     AdaptiveController,
     MPCConfig,
     MPCSolution,
     TerminalComponents,
-    adaptive_solve,
-    build_case1,
-    build_caseN,
     candidate_tail_cost,
     config_from_problem,
-    mpc_step,
     rollout_policy,
     synthesize_terminal,
 )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import AdaptiveController, CaseNTemplate, MPCSolution, _controller_for, lyapunov_series
+from .controller import AdaptiveController, CaseNTemplate, lyapunov_series
 from .errors import EmptyTerminalSetError
 from .geometry import Polytope, max_robust_invariant
 from .system import NetAdditiveBound, UncertainSystem, net_additive_bound
@@ -86,7 +86,3 @@ class BaselineController(AdaptiveController):
     # ``__dict__`` entries can then tell baseline spans from adaptive ones
     solve = AdaptiveController.solve
 
-
-def baseline_solve(sys: UncertainSystem, cfg: BaselineConfig, x_t) -> MPCSolution:
-    """Fixed-horizon lumped-tube solve; infeasibility is a data outcome."""
-    return _controller_for(sys, cfg, BaselineController).solve(x_t)

@@ -65,6 +65,13 @@ def _parse_horizons(text, n_max):
     return vals
 
 
+def _require_positive(args, *flags):
+    for flag in flags:
+        value = getattr(args, flag)
+        if value < 1:
+            raise ProblemFormatError("--" + flag, "must be at least 1, got %d" % value)
+
+
 def _resolve_problem(path):
     if path == "default":
         return default_problem_path()
@@ -135,6 +142,7 @@ def cmd_terminal_set(args):
 
 
 def cmd_simulate(args):
+    _require_positive(args, "steps")
     path, prob = _load(args)
     cfg = config_from_problem(prob)
     seed = _seed(args, prob)
@@ -159,6 +167,7 @@ def cmd_simulate(args):
 
 
 def cmd_roa(args):
+    _require_positive(args, "grid", "jobs")
     path, prob = _load(args)
     cfg = config_from_problem(prob)
     manifest = make_manifest(
@@ -205,6 +214,7 @@ def cmd_roa(args):
 
 
 def cmd_rollout(args):
+    _require_positive(args, "steps")
     path, prob = _load(args)
     cfg = config_from_problem(prob)
     seed = _seed(args, prob)
@@ -226,6 +236,7 @@ def cmd_rollout(args):
 
 
 def cmd_bench(args):
+    _require_positive(args, "reps")
     path, prob = _load(args)
     cfg = config_from_problem(prob)
     horizons = _parse_horizons(args.horizons, prob.N)

@@ -44,7 +44,7 @@ from .errors import (
 )
 from .geometry import Polytope, max_robust_invariant, projection_cuts, support, support_lp_many
 from .prediction import FeedbackGainStack, build_stacked, policy_input
-from .qpsolver import ParametricQP, QuadraticProgram, SolveOutcome, SolveStatus
+from .qpsolver import ParametricQP, SolveOutcome, SolveStatus
 from .system import NetAdditiveBound, UncertainSystem, net_additive_bound
 
 _EQ19_TOL = 1e-8
@@ -395,46 +395,6 @@ class CaseNTemplate:
         return vals, np.array([row["h0"] for row in self._tight])
 
 
-def build_case1(sys: UncertainSystem, terminal: TerminalComponents, x_t, *, P=None, R=None):
-    """Exact one-step robust QP at the measured state (as a QuadraticProgram)."""
-    P = np.eye(sys.d) if P is None else P
-    R = np.eye(sys.m) if R is None else R
-    tpl = Case1Template(sys, terminal, np.atleast_2d(P), np.atleast_2d(R))
-    x = np.asarray(x_t, dtype=float).reshape(-1)
-    q, h = tpl.parts(x)
-    return QuadraticProgram(Q=tpl.Q, q=q, G_ineq=tpl.G, h_ineq=h)
-
-
-def build_caseN(
-    sys: UncertainSystem,
-    terminal: TerminalComponents,
-    bound: NetAdditiveBound,
-    x_t,
-    N_t: int,
-    *,
-    P=None,
-    R=None,
-):
-    """Dual-norm tightened horizon-N_t QP at the measured state."""
-    if N_t < 2:
-        raise ValueError("build_caseN needs N_t >= 2; horizon 1 is the exact case")
-    P = np.eye(sys.d) if P is None else P
-    R = np.eye(sys.m) if R is None else R
-    tpl = CaseNTemplate(
-        sys,
-        terminal.X_N.H,
-        terminal.X_N.h,
-        np.atleast_2d(P),
-        np.atleast_2d(R),
-        terminal.P_N,
-        bound.w_tilde_max,
-        N_t,
-    )
-    x = np.asarray(x_t, dtype=float).reshape(-1)
-    q, h = tpl.parts(x)
-    return QuadraticProgram(Q=tpl.Q, q=q, G_ineq=tpl.G, h_ineq=h)
-
-
 # ---------------------------------------------------------------------------
 # solutions
 # ---------------------------------------------------------------------------
@@ -644,6 +604,9 @@ class AdaptiveController:
         )
 
     def step(self, x_t):
+        """Applied input (first nominal input of the winning horizon) and solution;
+        raises ``AllHorizonsInfeasibleError``, with every horizon's result,
+        where ``solve`` would return an all-infeasible solution."""
         sol = self.solve(x_t)
         if not sol.is_feasible:
             raise AllHorizonsInfeasibleError(
@@ -651,34 +614,6 @@ class AdaptiveController:
                 per_horizon=sol.per_horizon,
             )
         return sol.applied_input, sol
-
-
-# one entry per controller class: the free-function entry points stay cheap in
-# loops over one (sys, cfg), also when a loop alternates adaptive_solve and
-# baseline_solve, without keeping every system and config alive
-_controller_cache: dict = {}
-
-
-def _controller_for(sys, cfg, cls=AdaptiveController) -> AdaptiveController:
-    ctl = _controller_cache.get(cls)
-    if ctl is None or ctl.sys is not sys or ctl.cfg is not cfg:
-        ctl = _controller_cache[cls] = cls(sys, cfg)
-    return ctl
-
-
-def adaptive_solve(sys: UncertainSystem, cfg: MPCConfig, x_t) -> MPCSolution:
-    """Solve the horizon bank at x_t and select per the minimum-cost rule.
-
-    Infeasibility of every horizon is a data outcome (status INFEASIBLE with
-    per-horizon certificates attached), not an exception; ``mpc_step`` is the
-    boundary that raises.
-    """
-    return _controller_for(sys, cfg).solve(x_t)
-
-
-def mpc_step(sys: UncertainSystem, cfg: MPCConfig, x_t):
-    """Applied input (first nominal input of the winning horizon) + solution."""
-    return _controller_for(sys, cfg).step(x_t)
 
 
 # ---------------------------------------------------------------------------

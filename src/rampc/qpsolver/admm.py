@@ -79,20 +79,19 @@ def _ruiz_equilibrate(P, A, iters):
     Pb = P.copy()
     Ab = A.copy()
     for _ in range(iters):
-        col_p = np.abs(Pb).max(axis=0) if n else np.zeros(0)
-        col_a = np.abs(Ab).max(axis=0) if m else np.zeros(n)
+        col_p = np.abs(Pb).max(axis=0)
+        col_a = np.abs(Ab).max(axis=0)
         dn = np.sqrt(np.maximum(np.maximum(col_p, col_a), 1e-12))
-        row_a = np.abs(Ab).max(axis=1) if m else np.zeros(0)
+        row_a = np.abs(Ab).max(axis=1)
         en = np.sqrt(np.maximum(row_a, 1e-12))
         dd = 1.0 / dn
         ee = 1.0 / en
         Pb = Pb * dd[:, None] * dd[None, :]
-        if m:
-            Ab = Ab * ee[:, None] * dd[None, :]
+        Ab = Ab * ee[:, None] * dd[None, :]
         d *= dd
         e *= ee
-    col_p = np.abs(Pb).max(axis=0) if n else np.zeros(0)
-    mean_cost = float(col_p.mean()) if n else 1.0
+    col_p = np.abs(Pb).max(axis=0)
+    mean_cost = float(col_p.mean())
     c = 1.0 / min(max(mean_cost, 1e-6), 1e6) if mean_cost > 0 else 1.0
     c = min(max(c, 1e-6), 1e6)
     return d, e, c
@@ -128,11 +127,13 @@ def _quantize_rho(rho):
 
 
 class ParametricQP:
-    """Prepared solver for fixed (Q, G) and varying (q, h)."""
+    """Prepared solver for fixed (Q, G), G of at least one row, and varying (q, h)."""
 
     def __init__(self, Q, G_ineq):
         Q = np.ascontiguousarray(np.asarray(Q, dtype=float))
         G = np.ascontiguousarray(np.atleast_2d(np.asarray(G_ineq, dtype=float)))
+        if G.shape[0] == 0:
+            raise ValueError("G_ineq has no rows: every QP has inequality constraints")
         self.n = Q.shape[0]
         self.m = G.shape[0]
         self.Q = Q
@@ -158,9 +159,7 @@ class ParametricQP:
         if hit is not None:
             return hit
         rho = self._base_rho * rho_scale
-        M = self._P_sigma
-        if self.m:
-            M = (M + self.At_s @ sp.diags(rho) @ self.A_s).tocsc()
+        M = (self._P_sigma + self.At_s @ sp.diags(rho) @ self.A_s).tocsc()
         lu = splu(
             M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
@@ -182,17 +181,17 @@ class ParametricQP:
         return xu, zu, yu
 
     def _residuals(self, xu, zu, yu, q):
-        Ax = self.A @ xu if self.m else np.zeros(0)
-        r_p = float(np.max(np.abs(Ax - zu))) if self.m else 0.0
+        Ax = self.A @ xu
+        r_p = float(np.max(np.abs(Ax - zu)))
         Qx = self.Q @ xu
-        Aty = self.At @ yu if self.m else 0.0
+        Aty = self.At @ yu
         r_d = float(np.max(np.abs(Qx + q + Aty)))
         scale_p = max(
             float(np.max(np.abs(Ax), initial=0.0)), float(np.max(np.abs(zu), initial=0.0))
         )
         scale_d = max(
             float(np.max(np.abs(Qx), initial=0.0)),
-            float(np.max(np.abs(Aty), initial=0.0)) if self.m else 0.0,
+            float(np.max(np.abs(Aty), initial=0.0)),
             float(np.max(np.abs(q), initial=0.0)),
         )
         return r_p, r_d, scale_p, scale_d
@@ -218,29 +217,22 @@ class ParametricQP:
             return False
         if float(q @ dxu) > -eps * nrm:
             return False
-        Adx = self.A @ dxu if self.m else np.zeros(0)
+        Adx = self.A @ dxu
         return not np.any(Adx[np.isfinite(up)] > eps * nrm)
 
     def _kkt_ok(self, x, y, q, h):
-        if self.m:
-            if float(np.max(self.G @ x - h)) > _KKT_TOL:
-                return False
-            if float(y.min(initial=0.0)) < -_KKT_TOL:
-                return False
-        r_d = self.Q @ x + q
-        if self.m:
-            r_d = r_d + self.G.T @ y
+        if float(np.max(self.G @ x - h)) > _KKT_TOL:
+            return False
+        if float(y.min(initial=0.0)) < -_KKT_TOL:
+            return False
+        r_d = self.Q @ x + q + self.G.T @ y
         return float(np.max(np.abs(r_d))) <= _KKT_TOL * max(1.0, float(np.max(np.abs(q), initial=0.0)))
 
     # -- main solve -----------------------------------------------------------
     def solve(self, q, h_ineq) -> SolveOutcome:
         t0 = time.perf_counter()
         q = np.ascontiguousarray(np.asarray(q, dtype=float).reshape(-1))
-        h = (
-            np.ascontiguousarray(np.asarray(h_ineq, dtype=float).reshape(-1))
-            if self.m
-            else np.zeros(0)
-        )
+        h = np.ascontiguousarray(np.asarray(h_ineq, dtype=float).reshape(-1))
         # scaled data
         q_s = self.c * self.d * q
         h_s = self.e * h

@@ -30,8 +30,8 @@ _STATUS_MAP = {
 def _run_linprog(c, G, h):
     return linprog(
         c,
-        A_ub=G if G is not None and len(G) else None,
-        b_ub=h if G is not None and len(G) else None,
+        A_ub=G,
+        b_ub=h,
         bounds=(None, None),
         method="highs",
         options=_HIGHS_OPTIONS,
@@ -46,16 +46,15 @@ def solve_lp(c, G_ineq, h_ineq) -> SolveOutcome:
     """
     t0 = time.perf_counter()
     c = np.asarray(c, dtype=float).reshape(-1)
-    G = np.atleast_2d(np.asarray(G_ineq, dtype=float)) if G_ineq is not None else None
-    h = np.asarray(h_ineq, dtype=float).reshape(-1) if h_ineq is not None else None
+    G = np.atleast_2d(np.asarray(G_ineq, dtype=float))
+    h = np.asarray(h_ineq, dtype=float).reshape(-1)
     res = _run_linprog(c, G, h)
     status = _STATUS_MAP.get(res.status, SolveStatus.NUMERICAL_FAILURE)
     out = SolveOutcome(status=status, backend="highs")
     if status is SolveStatus.OPTIMAL:
         out.x_opt = np.asarray(res.x, dtype=float)
         out.objective = float(c @ out.x_opt)
-        if G is not None and res.ineqlin is not None:
-            out.y_ineq = -np.asarray(res.ineqlin.marginals, dtype=float)
+        out.y_ineq = -np.asarray(res.ineqlin.marginals, dtype=float)
     elif status is SolveStatus.INFEASIBLE:
         cert = farkas_certificate(G, h)
         if cert is None:

@@ -12,7 +12,6 @@ from rampc.baseline import make_baseline_config
 from rampc.controller import (
     AdaptiveController,
     Case1Template,
-    build_case1,
     lyapunov_series,
     synthesize_terminal,
 )
@@ -176,8 +175,8 @@ def test_criterion_5_case1_exactness():
             continue  # rejection-sampled fixture happened to be unusable
         lo_x, hi_x = sys.X.bounding_box()
         x = rng.uniform(lo_x, hi_x) * 0.5
-        prog = build_case1(sys, term, x, P=P, R=R)
-        got = _interval_from_rows(prog.G_ineq, prog.h_ineq)
+        tpl = Case1Template(sys, term, P, R)
+        got = _interval_from_rows(tpl.G, tpl.parts(x)[1])
         # oracle: enumerate vertex pairs and W vertices row by row
         W_verts = sys.W.box_corners() if sys.d == 1 else vertices_2d(sys.W)
         lo_u, hi_u = -np.inf, np.inf

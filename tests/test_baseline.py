@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from rampc.baseline import baseline_solve, make_baseline_config
+from rampc.baseline import BaselineController, make_baseline_config
 from rampc.controller import AdaptiveController, MPCConfig, synthesize_terminal
 from rampc.errors import EmptyTerminalSetError
 from rampc.geometry import Polytope, is_subset
@@ -24,8 +24,9 @@ def test_zero_parametric_uncertainty_coincides():
     assert is_subset(bcfg.X_N_lump, term.X_N) and is_subset(term.X_N, bcfg.X_N_lump)
     cfg = MPCConfig(P=prob.P, R=prob.R, N=prob.N, terminal=term, bound=bound)
     ctl = AdaptiveController(sys, cfg)
+    bctl = BaselineController(sys, bcfg)
     for x in ([0.5], [-1.2], [1.8]):
-        bsol = baseline_solve(sys, bcfg, x)
+        bsol = bctl.solve(x)
         psol = ctl.solve(np.asarray(x))
         fixed_cost = next(r.cost for r in psol.per_horizon if r.N_t == prob.N)
         assert bsol.is_feasible
@@ -46,10 +47,11 @@ def test_feasibility_dominance_on_grid(default_problem, default_cfg, default_con
     bcfg = make_baseline_config(
         prob.system, prob.K, prob.P, prob.R, prob.N, bound=default_cfg.bound
     )
+    bctl = BaselineController(prob.system, bcfg)
     rng = np.random.default_rng(16)
     pts = rng.uniform(-8, 8, size=(25, 2))
     for x in pts:
-        bsol = baseline_solve(prob.system, bcfg, x)
+        bsol = bctl.solve(x)
         if bsol.is_feasible:
             assert default_controller.solve(x).is_feasible
 
@@ -59,7 +61,7 @@ def test_baseline_infeasibility_is_data(default_problem, default_cfg):
     bcfg = make_baseline_config(
         prob.system, prob.K, prob.P, prob.R, prob.N, bound=default_cfg.bound
     )
-    sol = baseline_solve(prob.system, bcfg, np.array([50.0, 50.0]))
+    sol = BaselineController(prob.system, bcfg).solve(np.array([50.0, 50.0]))
     assert sol.status is SolveStatus.INFEASIBLE
     assert sol.per_horizon[0].N_t == prob.N
 
@@ -79,7 +81,7 @@ def test_fixed_horizon_one_uses_lumped_tightening():
     bound = net_additive_bound(sys)
     bcfg = make_baseline_config(sys, prob.K, prob.P, prob.R, 1, bound=bound)
     x = np.array([0.5])
-    sol = baseline_solve(sys, bcfg, x)
+    sol = BaselineController(sys, bcfg).solve(x)
     assert sol.is_feasible
     # hand check: every lumped terminal row must hold at the nominal successor
     xn = sys.A_bar @ x + sys.B_bar @ sol.applied_input
@@ -92,7 +94,8 @@ def test_solution_report_schema(default_problem, default_cfg):
     bcfg = make_baseline_config(
         prob.system, prob.K, prob.P, prob.R, prob.N, bound=default_cfg.bound
     )
-    rep = baseline_solve(prob.system, bcfg, np.array([1.0, 1.0])).report(tag="baseline")
+    sol = BaselineController(prob.system, bcfg).solve(np.array([1.0, 1.0]))
+    rep = sol.report(tag="baseline")
     assert rep["controller"] == "baseline"
     assert "constraint_margins" in rep and rep["constraint_margins"]["state"] > 0
     (entry,) = rep["per_horizon"]

@@ -107,6 +107,29 @@ def test_bad_x0_exits_2(scalar_file, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("simulate", "--steps", "0"),
+        ("simulate", "--steps", "-3"),
+        ("rollout", "--steps", "0"),
+        ("rollout", "--steps", "-3"),
+        ("roa", "--grid", "0"),
+        ("roa", "--grid", "-2"),
+        ("roa", "--jobs", "0"),
+        ("roa", "--jobs", "-4"),
+        ("bench", "--reps", "0"),
+    ],
+)
+def test_count_below_one_exits_2(command, flag, value, scalar_file, tmp_path, capsys):
+    args = [command, "--problem", str(scalar_file), "--out", str(tmp_path / "x.out"), flag, value]
+    if command in ("simulate", "rollout"):
+        args += ["--x0", "0.5"]
+    assert main(args) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "x.out").exists()
+
+
 def test_roa_with_baseline_and_svg(tmp_path):
     out = tmp_path / "roa.json"
     svg = tmp_path / "roa.svg"
@@ -140,7 +163,7 @@ def test_numerical_failure_exits_4(scalar_file, tmp_path, monkeypatch):
 
     monkeypatch.setattr(
         ParametricQP, "solve",
-        lambda self, q, h, b_eq=None: SolveOutcome(status=SolveStatus.NUMERICAL_FAILURE),
+        lambda self, q, h_ineq: SolveOutcome(status=SolveStatus.NUMERICAL_FAILURE),
     )
     rc = main(
         ["simulate", "--problem", str(scalar_file), "--x0", "0.1", "--steps", "2",

@@ -1,20 +1,17 @@
 """Controller: terminal synthesis, the two robustification cases, adaptivity."""
-import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from rampc import controller, geometry
-from rampc.baseline import BaselineController, baseline_solve, make_baseline_config
+from rampc.baseline import BaselineController, make_baseline_config
 from rampc.controller import (
     AdaptiveController,
-    adaptive_solve,
-    build_case1,
-    build_caseN,
+    Case1Template,
+    CaseNTemplate,
     candidate_tail_cost,
     lyapunov_series,
-    mpc_step,
     rollout_policy,
     synthesize_terminal,
 )
@@ -25,7 +22,7 @@ from rampc.errors import (
 )
 from rampc.geometry import Polytope, is_subset, support, vertices_2d
 from rampc.prediction import FeedbackGainStack, build_stacked
-from rampc.qpsolver import SolveStatus, solve_qp
+from rampc.qpsolver import ParametricQP, SolveStatus, solve_qp, verify_farkas
 from rampc.simulator import simulate_closed_loop
 from rampc.system import UncertainSystem, load_problem_dict, sample_realization
 
@@ -127,6 +124,15 @@ def test_lyapunov_series_matches_scipy():
         np.testing.assert_allclose(P, ref, atol=1e-9)
 
 
+def _solve_at(tpl, x):
+    """One-off solve of a template's QP at x."""
+    return ParametricQP(tpl.Q, tpl.G).solve(*tpl.parts(np.asarray(x, dtype=float)))
+
+
+def _case_n(sys, term, w_tilde_max, N, P, R):
+    return CaseNTemplate(sys, term.X_N.H, term.X_N.h, P, R, term.P_N, w_tilde_max, N)
+
+
 def _interval_from_rows(G, h):
     """[lo, hi] feasible interval of a 1-variable inequality system."""
     lo, hi = -np.inf, np.inf
@@ -144,8 +150,7 @@ class TestCase1:
     def test_origin_zero_cost(self):
         sys = _scalar_sys(w=TINY_W)
         term = synthesize_terminal(sys, [[-0.5]], [[1.0]], [[1.0]], hull_samples=10)
-        prog = build_case1(sys, term, [0.0], P=[[1.0]], R=[[1.0]])
-        out = solve_qp(prog)
+        out = _solve_at(Case1Template(sys, term, np.eye(1), np.eye(1)), [0.0])
         assert out.status is SolveStatus.OPTIMAL
         assert abs(out.x_opt[0]) < 1e-9
         assert abs(out.objective) < 1e-12
@@ -156,8 +161,8 @@ class TestCase1:
         sys = _scalar_sys(da=0.1, db=0.05, w=0.1, xb=2.0, ub=4.0)
         term = synthesize_terminal(sys, [[-0.5]], [[1.0]], [[1.0]], hull_samples=10)
         x = 0.5
-        prog = build_case1(sys, term, [x], P=[[1.0]], R=[[1.0]])
-        got = _interval_from_rows(prog.G_ineq, prog.h_ineq)
+        tpl = Case1Template(sys, term, np.eye(1), np.eye(1))
+        got = _interval_from_rows(tpl.G, tpl.parts(np.array([x]))[1])
         H_N, h_N = term.X_N.H, term.X_N.h
         lo, hi = -4.0, 4.0
         for dA in (0.1, -0.1):
@@ -178,25 +183,19 @@ class TestCase1:
     def test_far_state_infeasible(self):
         sys = _scalar_sys(w=0.1)
         term = synthesize_terminal(sys, [[-0.5]], [[1.0]], [[1.0]], hull_samples=10)
-        prog = build_case1(sys, term, [50.0], P=[[1.0]], R=[[1.0]])
-        assert solve_qp(prog).status is SolveStatus.INFEASIBLE
+        out = _solve_at(Case1Template(sys, term, np.eye(1), np.eye(1)), [50.0])
+        assert out.status is SolveStatus.INFEASIBLE
 
 
 class TestCaseN:
     def test_zero_bound_reduces_to_nominal(self):
         # with wtilde_max = 0 the tightenings vanish: the optimal cost equals
         # the nominal MPC cost computed from an explicitly assembled QP
-        from rampc.system import NetAdditiveBound
-
         prob = load_problem_dict(scalar_problem_dict(w=0.05, x=2.0, u=1.0))
         sys = prob.system
         term = synthesize_terminal(sys, prob.K, prob.P, prob.R, hull_samples=10)
-        bound0 = NetAdditiveBound(
-            w_tilde_max=0.0, x_max=2.0, u_max=1.0, w_max=0.0, dA_norm=0.0, dB_norm=0.0
-        )
         N = 3
-        prog = build_caseN(sys, term, bound0, [0.8], N, P=prob.P, R=prob.R)
-        out = solve_qp(prog)
+        out = _solve_at(_case_n(sys, term, 0.0, N, prob.P, prob.R), [0.8])
         # nominal comparison: min sum x'Px + u'Ru + terminal, no tightening
         sd = build_stacked(sys.A_bar, sys.B_bar, N)
         P_bar = np.diag([1.0, 1.0, term.P_N[0, 0]])
@@ -276,6 +275,13 @@ class TestCaseN:
                     r += 1
 
 
+@pytest.fixture(scope="module")
+def own_controller(default_problem, default_cfg):
+    """A controller apart from the session's: the far-state tests build its
+    feasible sets, which the other tests' controllers must not see."""
+    return AdaptiveController(default_problem.system, default_cfg)
+
+
 class TestAdaptive:
     def test_terminal_state_case1_feasible(self, default_problem, default_cfg, default_controller):
         # any x in X_N admits the terminal feedback as a case-1 candidate
@@ -293,15 +299,15 @@ class TestAdaptive:
             out = default_controller.solvers[1].solve(*default_controller.templates[1].parts(x))
             assert out.status is SolveStatus.OPTIMAL
 
-    def test_origin(self, default_problem, default_cfg):
-        sol = adaptive_solve(default_problem.system, default_cfg, np.zeros(2))
+    def test_origin(self, own_controller):
+        sol = own_controller.solve(np.zeros(2))
         assert sol.is_feasible
         assert sol.J_star == pytest.approx(0.0, abs=1e-9)
         np.testing.assert_allclose(sol.applied_input, [0.0], atol=1e-7)
 
-    def test_tie_break_smallest_horizon(self, default_problem, default_cfg):
+    def test_tie_break_smallest_horizon(self, own_controller):
         # at the origin every horizon costs exactly 0: the shortest must win
-        sol = adaptive_solve(default_problem.system, default_cfg, np.zeros(2))
+        sol = own_controller.solve(np.zeros(2))
         costs = [r.cost for r in sol.per_horizon]
         assert all(abs(c) < 1e-9 for c in costs)
         assert sol.N_star == 1
@@ -315,17 +321,25 @@ class TestAdaptive:
             if sol.is_feasible:
                 assert sol.J_star >= x @ P @ x - 1e-6
 
-    def test_all_infeasible_is_data(self, default_problem, default_cfg):
-        sol = adaptive_solve(default_problem.system, default_cfg, np.array([50.0, 50.0]))
+    def test_all_infeasible_is_data(self, own_controller):
+        sol = own_controller.solve(np.array([50.0, 50.0]))
         assert sol.status is SolveStatus.INFEASIBLE
         assert all(r.status is SolveStatus.INFEASIBLE for r in sol.per_horizon)
         assert any(r.farkas is not None for r in sol.per_horizon)
 
-    def test_mpc_step_origin_and_raise(self, default_problem, default_cfg):
-        u, sol = mpc_step(default_problem.system, default_cfg, np.zeros(2))
+    def test_step_origin_and_raise(self, own_controller):
+        u, sol = own_controller.step(np.zeros(2))
+        assert sol.is_feasible
         np.testing.assert_allclose(u, [0.0], atol=1e-7)
-        with pytest.raises(AllHorizonsInfeasibleError):
-            mpc_step(default_problem.system, default_cfg, np.array([50.0, 50.0]))
+        x = np.array([50.0, 50.0])
+        with pytest.raises(AllHorizonsInfeasibleError) as exc:
+            own_controller.step(x)
+        per = exc.value.per_horizon
+        assert [r.N_t for r in per] == sorted(own_controller.templates)
+        for r in per:
+            assert r.status is SolveStatus.INFEASIBLE and not r.pruned
+            tpl = own_controller.templates[r.N_t]
+            assert verify_farkas(tpl.G, tpl.parts(x)[1], None, None, r.farkas), r.N_t
 
     def test_monotone_nesting_in_bound(self, default_problem, default_cfg):
         # shrinking wtilde_max never breaks feasibility of a feasible case-N
@@ -333,15 +347,9 @@ class TestAdaptive:
         term = default_cfg.terminal
         x = np.array([5.0, -3.0])
         for scale in (1.0, 0.5, 0.1):
-            bound = dataclasses.replace(
-                default_cfg.bound,
-                w_tilde_max=default_cfg.bound.w_tilde_max * scale,
-                w_max=default_cfg.bound.w_max * scale,
-                dA_norm=default_cfg.bound.dA_norm * scale,
-                dB_norm=default_cfg.bound.dB_norm * scale,
-            )
-            prog = build_caseN(sys, term, bound, x, 4, P=default_cfg.P, R=default_cfg.R)
-            assert solve_qp(prog).status is SolveStatus.OPTIMAL
+            w_tilde_max = default_cfg.bound.w_tilde_max * scale
+            tpl = _case_n(sys, term, w_tilde_max, 4, default_cfg.P, default_cfg.R)
+            assert _solve_at(tpl, x).status is SolveStatus.OPTIMAL
 
     def test_candidate_tail_decomposition(self, default_problem, default_cfg, default_controller):
         # with zero realized disturbance, J* = l(x, u0) + q(xbar_next)
@@ -609,8 +617,6 @@ class TestFeasibleSetFacets:
 
     @pytest.mark.parametrize("bank", ["adaptive", "baseline"])
     def test_every_infeasible_certificate_verifies(self, bank, bank_cases):
-        from rampc.qpsolver import verify_farkas
-
         # the controller's certificates (facet multipliers once a set is
         # built) and the QP path's own (the per-solver reference)
         ctl, cases = bank_cases[bank]
@@ -727,31 +733,6 @@ class TestFeasibleSetFacets:
             outward = edge + 1e-6 * np.sign(edge)
             assert ctl.solve(np.array([inward])).status is SolveStatus.OPTIMAL
             assert ctl._facet_verdict(1, np.array([outward])) is not None
-
-
-def test_free_function_caches_hold_one_entry(default_problem, default_cfg):
-    # one cached controller per class, so alternating the adaptive and the
-    # baseline entry points on one (sys, cfg) pair rebuilds neither
-    prob = default_problem
-    sys = prob.system
-    x = np.zeros(2)
-    lumped = make_baseline_config(sys, prob.K, prob.P, prob.R, prob.N, bound=default_cfg.bound)
-    for n in (1, 2, 3):
-        cfg = dataclasses.replace(default_cfg, N=n)
-        bcfg = dataclasses.replace(lumped, N=n)
-        assert adaptive_solve(sys, cfg, x).is_feasible
-        assert baseline_solve(sys, bcfg, x).is_feasible
-        assert set(controller._controller_cache) == {AdaptiveController, BaselineController}
-        for cls, ctl in controller._controller_cache.items():
-            assert type(ctl) is cls
-    ctl = controller._controller_cache[AdaptiveController]
-    bctl = controller._controller_cache[BaselineController]
-    assert ctl.cfg is cfg and bctl.cfg is bcfg
-    for _ in range(3):
-        assert adaptive_solve(sys, cfg, x).is_feasible
-        assert baseline_solve(sys, bcfg, x).is_feasible
-        assert controller._controller_cache[AdaptiveController] is ctl
-        assert controller._controller_cache[BaselineController] is bctl
 
 
 class TestRollout:

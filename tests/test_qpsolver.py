@@ -193,3 +193,11 @@ def test_psd_validation_rejects_indefinite():
         QuadraticProgram(Q=[[-1.0]], q=[0.0], G_ineq=[[1.0]], h_ineq=[1.0])
     with pytest.raises(ValueError):
         QuadraticProgram(Q=[[1.0, 0.5], [0.0, 1.0]], q=[0.0, 0.0], G_ineq=np.zeros((1, 2)), h_ineq=[1.0])
+
+
+def test_qp_without_inequality_rows_rejected():
+    # every QP the package poses has inequality rows; a G with none is refused
+    with pytest.raises(ValueError, match="no rows"):
+        ParametricQP(np.eye(2), np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="no rows"):
+        solve_qp(QuadraticProgram(Q=np.eye(2), q=[1.0, 0.0], G_ineq=np.zeros((0, 2)), h_ineq=[]))

@@ -137,7 +137,7 @@ def test_roa_refuses_numerical_failures(quiet_scalar, monkeypatch):
     prob, cfg = quiet_scalar
     monkeypatch.setattr(
         ParametricQP, "solve",
-        lambda self, q, h, b_eq=None: SolveOutcome(status=SolveStatus.NUMERICAL_FAILURE),
+        lambda self, q, h_ineq: SolveOutcome(status=SolveStatus.NUMERICAL_FAILURE),
     )
     with pytest.raises(SolverNumericalError):
         estimate_roa(prob.system, cfg, 3)
