@@ -22,7 +22,16 @@ horizon's first INFEASIBLE verdict its facets are computed once by support
 LPs (``geometry.projection_cuts``, exact in 2-d) and stored with their LP
 multipliers, and from then on a state outside a stored facet by more than a
 1e-7 margin is settled INFEASIBLE in microseconds, with that facet's
-multiplier as its Farkas certificate.  Terminal ingredients: a robust
+multiplier as its Farkas certificate.  A horizon that is neither pruned nor
+settled by a facet first tries its central candidate z(x) = Z_n x + z0_n:
+the unconstrained minimiser u = K_n x in the nominal inputs (K_n comes from
+the same linear solve as S_n) and a fixed, x-independent tail of feedback
+gains and absolute-value variables, taken once from a QP solve at the
+origin.  When z(x) passes the solver's own 1e-8 KKT check with zero
+multipliers, it is the horizon's OPTIMAL result (``backend="central"``,
+no ADMM iteration); otherwise the horizon runs ADMM.  In closed loop most
+horizons are unconstrained at their optimum, so most steps run no ADMM
+solve at all.  Terminal ingredients: a robust
 positive invariant terminal set computed with the exact vertex uncertainty
 (and rechecked by LP), and a terminal cost from the closed-loop Lyapunov
 series, which makes the descent inequality hold with equality globally.
@@ -380,6 +389,18 @@ class CaseNTemplate:
             M[k * self.m : (k + 1) * self.m, l * self.d : (l + 1) * self.d] = blk
         return u, FeedbackGainStack(self.horizon, self.d, self.m, M)
 
+    def central_offset(self, z):
+        """[0; M; a] with z's feedback gains M and every absolute-value
+        variable at its tight value |M'phi + g|, the larger of its two rows."""
+        lo, hi = self.n_u, self.n_u + self.n_m
+        off = np.zeros(self.n_vars)
+        off[lo:hi] = z[lo:hi]
+        _, M = self.extract(z)
+        off[hi:] = np.concatenate(
+            [np.abs(M.M.T @ row["phi"] + row["g"])[: row["supp"]] for row in self._tight]
+        )
+        return off
+
     def tightened_row_values(self, u_stack, M: FeedbackGainStack, x):
         """Worst-case LHS of every tightened row at a fixed policy.
 
@@ -458,18 +479,21 @@ class MPCSolution:
         }
 
 
-def _bound_map(tpl) -> np.ndarray:
-    """S with x'Sx = min over z of the template's cost at x, constraints dropped.
+def _bound_map(tpl):
+    """(S, K): x'Sx = min over z of the template's cost at x, constraints
+    dropped, and u = K x the nominal inputs that attain it.
 
     The cost is 1/2 z'Qz + q(x)'z + constant(x), where only the nominal
     inputs (the leading block of z, of size ``_q_map.shape[0]``) carry cost;
-    minimizing over them gives S = const_map - 1/2 q_map' Q_uu^-1 q_map.  It
+    minimizing over them gives K = -Q_uu^-1 q_map and
+    S = const_map - 1/2 q_map' Q_uu^-1 q_map, from one linear solve.  S
     lower-bounds the objective at *any* z, feasible or not.
     """
     n_u = tpl._q_map.shape[0]
     Q_uu = tpl.Q[:n_u, :n_u]
-    S = tpl._const_map - 0.5 * tpl._q_map.T @ np.linalg.solve(Q_uu, tpl._q_map)
-    return 0.5 * (S + S.T)
+    Y = np.linalg.solve(Q_uu, tpl._q_map)
+    S = tpl._const_map - 0.5 * tpl._q_map.T @ Y
+    return 0.5 * (S + S.T), -Y
 
 
 class AdaptiveController:
@@ -490,14 +514,69 @@ class AdaptiveController:
         self._prepare(sys, cfg, templates)
 
     def _prepare(self, sys, cfg, templates):
-        """Factor every template's QP and its pruning bound map."""
+        """Factor every template's QP, its pruning bound map and its unconstrained gain."""
         self.sys = sys
         self.cfg = cfg
         self.templates = templates
         self.solvers = {n: ParametricQP(tpl.Q, tpl.G) for n, tpl in templates.items()}
-        self.bound_maps = {n: _bound_map(tpl) for n, tpl in templates.items()}
+        maps = {n: _bound_map(tpl) for n, tpl in templates.items()}
+        self.bound_maps = {n: S for n, (S, _) in maps.items()}
+        self._gains = {n: K for n, (_, K) in maps.items()}
         # horizon -> geometry.ProjectionCuts of F_n, built on its first INFEASIBLE verdict
         self.feasible_sets = {}
+        # horizon -> (Z_n, z0_n) of its central candidate, or None when it has
+        # none; built on the horizon's first visit that reaches the QP path
+        self.candidates = {}
+
+    def _candidate(self, n):
+        """(Z_n, z0_n) of horizon n's central candidate z(x) = Z_n x + z0_n, or None.
+
+        Z_n = [K_n; 0] puts the unconstrained minimiser in the nominal
+        inputs.  z0_n = [0; M0; a0] takes the feedback gains M0 from one QP
+        solve at the origin and sets each absolute-value variable tightly,
+        to |M0'phi + g| (``CaseNTemplate.central_offset``).  A horizon
+        without such variables needs no origin solve; one whose origin solve
+        is not OPTIMAL has no candidate.
+        """
+        if n in self.candidates:
+            return self.candidates[n]
+        tpl = self.templates[n]
+        K = self._gains[n]
+        Z = np.zeros((tpl.n_vars, K.shape[1]))
+        Z[: K.shape[0]] = K
+        cand = (Z, np.zeros(tpl.n_vars))
+        if tpl.n_vars > K.shape[0]:
+            out = self.solvers[n].solve(*tpl.parts(np.zeros(K.shape[1])))
+            cand = (Z, tpl.central_offset(out.x_opt)) if out.is_optimal else None
+        self.candidates[n] = cand
+        return cand
+
+    def _central_verdict(self, n, x, q, h):
+        """OPTIMAL outcome at horizon n's central candidate z(x), or None.
+
+        z(x) is accepted only when it passes the solver's own 1e-8 KKT check
+        with zero multipliers, so it is then a minimiser of the horizon's QP
+        at (q, h) to the same contract as an ADMM result.
+        """
+        cand = self._candidate(n)
+        if cand is None:
+            return None
+        t0 = time.perf_counter()
+        Z, z0 = cand
+        z = Z @ x + z0
+        solver = self.solvers[n]
+        y = np.zeros(solver.m)
+        if not solver._kkt_ok(z, y, q, h):
+            return None
+        return SolveOutcome(
+            status=SolveStatus.OPTIMAL,
+            x_opt=z,
+            objective=float(0.5 * z @ (solver.Q @ z) + q @ z),
+            y_ineq=y,
+            backend="central",
+            diagnostics={"tightened": False, "factorizations": 0, "rho_updates": 0},
+            solve_time=time.perf_counter() - t0,
+        )
 
     def _facet_verdict(self, n, x):
         """INFEASIBLE outcome when x lies outside a stored facet of F_n, else None.
@@ -535,10 +614,15 @@ class AdaptiveController:
         facets of its feasible set F_n: a state outside one by more than the
         margin is INFEASIBLE at once (``backend="facets"``, the facet's
         multiplier as certificate).  Every other state, including those
-        within the margin, runs the ADMM solve with its HiGHS-confirmed
-        infeasibility path.  The first INFEASIBLE verdict of a horizon
-        builds its facets and is then taken again from them when x lies
-        beyond the margin of one, so a certificate never depends on the
+        within the margin, tries the horizon's central candidate
+        z(x) = Z_n x + z0_n: if it meets the 1e-8 KKT contract with zero
+        multipliers it is the OPTIMAL result (``backend="central"``,
+        ``iterations=0``, objective 1/2 z'Qz + q'z), and otherwise the
+        horizon runs the ADMM solve with its HiGHS-confirmed infeasibility
+        path.  The first INFEASIBLE verdict of a horizon builds its facets
+        and is then taken again from them when x lies beyond the margin of
+        one; the candidate, built on the horizon's first visit to this
+        path, does not depend on x.  So a verdict never depends on the
         order in which states were visited.
         """
         x = np.asarray(x_t, dtype=float).reshape(-1)
@@ -557,7 +641,7 @@ class AdaptiveController:
             out = self._facet_verdict(n, x)
             if out is None:
                 q, h = tpl.parts(x)
-                out = self.solvers[n].solve(q, h)
+                out = self._central_verdict(n, x, q, h) or self.solvers[n].solve(q, h)
                 if out.status is SolveStatus.INFEASIBLE and n not in self.feasible_sets:
                     self.feasible_sets[n] = projection_cuts(tpl.G, tpl._rhs_map, tpl._h_base)
                     out = self._facet_verdict(n, x) or out

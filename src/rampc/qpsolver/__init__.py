@@ -6,7 +6,7 @@ products and a sparse factor of the x-update matrix, computed once per step
 size and cached (``active_kernel`` names it).
 
 Every problem has one form: inequality constraints ``G x <= h`` only, with
-a quadratic (``solve_qp``, ``ParametricQP``) or linear (``solve_lp``)
+a quadratic (``ParametricQP``) or linear (``solve_lp``)
 objective.  The ADMM constants are fixed; there is no settings object.
 
 A QP solve runs ADMM until its residuals reach 1e-6 and verifies the
@@ -16,19 +16,17 @@ an iterate that reaches 1e-10 and still fails is NUMERICAL_FAILURE.  Every
 OPTIMAL QP result is the verified ADMM iterate; INFEASIBLE is reported only
 with a Farkas certificate from an exact LP probe.
 """
-from .admm import ParametricQP, active_kernel, solve_qp
+from .admm import ParametricQP, active_kernel
 from .lp import farkas_certificate, feasible_point, solve_lp, verify_farkas
-from .types import QuadraticProgram, SolveOutcome, SolveStatus
+from .types import SolveOutcome, SolveStatus
 
 __all__ = [
     "ParametricQP",
-    "QuadraticProgram",
     "SolveOutcome",
     "SolveStatus",
     "active_kernel",
     "farkas_certificate",
     "feasible_point",
     "solve_lp",
-    "solve_qp",
     "verify_farkas",
 ]

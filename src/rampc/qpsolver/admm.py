@@ -40,7 +40,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .lp import feasible_point
-from .types import QuadraticProgram, SolveOutcome, SolveStatus
+from .types import SolveOutcome, SolveStatus
 
 KERNEL = "sparse"
 
@@ -127,11 +127,21 @@ def _quantize_rho(rho):
 
 
 class ParametricQP:
-    """Prepared solver for fixed (Q, G), G of at least one row, and varying (q, h)."""
+    """Prepared solver for fixed (Q, G), G of at least one row, and varying (q, h).
+
+    Q is taken as symmetric positive semidefinite without an eigenvalue
+    check; only the shapes are validated.
+    """
 
     def __init__(self, Q, G_ineq):
-        Q = np.ascontiguousarray(np.asarray(Q, dtype=float))
+        Q = np.ascontiguousarray(np.atleast_2d(np.asarray(Q, dtype=float)))
         G = np.ascontiguousarray(np.atleast_2d(np.asarray(G_ineq, dtype=float)))
+        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+            raise ValueError("Q must be square, got shape %s" % (Q.shape,))
+        if G.ndim != 2 or G.shape[1] != Q.shape[0]:
+            raise ValueError(
+                "G_ineq has %d columns, expected %d (the size of Q)" % (G.shape[-1], Q.shape[0])
+            )
         if G.shape[0] == 0:
             raise ValueError("G_ineq has no rows: every QP has inequality constraints")
         self.n = Q.shape[0]
@@ -314,8 +324,3 @@ class ParametricQP:
         if feas is False and cert is not None:
             return finish(SolveStatus.INFEASIBLE, farkas=cert)
         return finish(SolveStatus.NUMERICAL_FAILURE)
-
-
-def solve_qp(prog: QuadraticProgram) -> SolveOutcome:
-    """One-shot QP solve; see ParametricQP for the receding-horizon path."""
-    return ParametricQP(prog.Q, prog.G_ineq).solve(prog.q, prog.h_ineq)

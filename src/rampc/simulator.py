@@ -293,8 +293,10 @@ REFERENCE_TIMES_S = {1: 0.0026, 2: 0.0023, 3: 0.0038, 4: 0.0056, 5: 0.0078}
 def benchmark(sys: UncertainSystem, cfg: MPCConfig, horizons, reps: int, x0=None) -> dict:
     """Per-horizon online times (template-cached build + solve), warm cache.
 
-    Timing covers exactly the per-step online work of the controller:
-    assembling the state-dependent QP data and solving it.  Problem-file
+    Timing covers one horizon's QP path: assembling the state-dependent
+    QP data and solving it with ``ParametricQP.solve``.  The controller's
+    central candidate, which settles most closed-loop horizons without that
+    solve, is not timed here.  Problem-file
     parsing and template/factorization preparation are excluded (one-time,
     reported separately).  Each rep times every horizon in turn, so a spell
     of load on the machine slows all horizons alike instead of the one whose
@@ -338,8 +340,9 @@ def benchmark(sys: UncertainSystem, cfg: MPCConfig, horizons, reps: int, x0=None
             }
         )
     return {
-        "timing_includes": "QP data assembly + solve (per-step online work)",
-        "timing_excludes": "problem parsing, template and factorization preparation",
+        "timing_includes": "QP data assembly + ParametricQP.solve of each horizon",
+        "timing_excludes": "problem parsing, template and factorization preparation, "
+        "the controller's central candidate",
         "preparation_time_s": prep_time,
         "x0": x.tolist(),
         "kernel": active_kernel(),

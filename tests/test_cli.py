@@ -161,10 +161,13 @@ def test_numerical_failure_exits_4(scalar_file, tmp_path, monkeypatch):
     from rampc.qpsolver import SolveOutcome, SolveStatus
     from rampc.qpsolver.admm import ParametricQP
 
+    # the whole solve layer fails: no ADMM solve succeeds and no point, the
+    # controller's central candidates included, passes the KKT check
     monkeypatch.setattr(
         ParametricQP, "solve",
         lambda self, q, h_ineq: SolveOutcome(status=SolveStatus.NUMERICAL_FAILURE),
     )
+    monkeypatch.setattr(ParametricQP, "_kkt_ok", lambda self, x, y, q, h: False)
     rc = main(
         ["simulate", "--problem", str(scalar_file), "--x0", "0.1", "--steps", "2",
          "--seed", "0", "--out", str(tmp_path / "x.csv")]

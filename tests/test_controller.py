@@ -22,7 +22,7 @@ from rampc.errors import (
 )
 from rampc.geometry import Polytope, is_subset, support, vertices_2d
 from rampc.prediction import FeedbackGainStack, build_stacked
-from rampc.qpsolver import ParametricQP, SolveStatus, solve_qp, verify_farkas
+from rampc.qpsolver import ParametricQP, SolveOutcome, SolveStatus, verify_farkas
 from rampc.simulator import simulate_closed_loop
 from rampc.system import UncertainSystem, load_problem_dict, sample_realization
 
@@ -217,9 +217,7 @@ class TestCaseN:
                 np.ones(2 * N),
             ]
         )
-        from rampc.qpsolver import QuadraticProgram
-
-        ref = solve_qp(QuadraticProgram(Q=Q, q=q, G_ineq=G, h_ineq=h))
+        ref = ParametricQP(Q, G).solve(q, h)
         assert out.status is SolveStatus.OPTIMAL and ref.status is SolveStatus.OPTIMAL
         assert out.objective == pytest.approx(ref.objective, abs=1e-7)
 
@@ -372,8 +370,10 @@ CLOSED_LOOP_STEPS = 50
 def _exhaustive_reference(ctl, x):
     """Selection without pruning: every horizon in ascending order, strict < on cost.
 
-    Returns (status, N*, J*, applied input, {horizon: cost of every feasible horizon},
-    {horizon: solve outcome of every horizon}).
+    Each horizon takes the controller's per-horizon rule without the stored
+    facets: its central candidate when that passes the KKT check, else ADMM.
+    Returns (status, N*, J*, applied input, {horizon: cost of every feasible
+    horizon}, {horizon: solve outcome of every horizon}).
     """
     best = None
     costs = {}
@@ -381,7 +381,8 @@ def _exhaustive_reference(ctl, x):
     failed = False
     for n in sorted(ctl.templates):
         tpl = ctl.templates[n]
-        out = outcomes[n] = ctl.solvers[n].solve(*tpl.parts(x))
+        q, h = tpl.parts(x)
+        out = outcomes[n] = ctl._central_verdict(n, x, q, h) or ctl.solvers[n].solve(q, h)
         if out.status is SolveStatus.OPTIMAL:
             J = out.objective + tpl.constant(x)
             costs[n] = J
@@ -733,6 +734,183 @@ class TestFeasibleSetFacets:
             outward = edge + 1e-6 * np.sign(edge)
             assert ctl.solve(np.array([inward])).status is SolveStatus.OPTIMAL
             assert ctl._facet_verdict(1, np.array([outward])) is not None
+
+
+# ---------------------------------------------------------------------------
+# central candidates settle unconstrained horizons
+# ---------------------------------------------------------------------------
+
+
+def _bank_seed(i):
+    """Realization seed of run i of the benchmark's Monte-Carlo bank."""
+    return int(np.random.SeedSequence([0, i]).generate_state(1)[0])
+
+
+def _kkt_violation(tpl, q, h, z, y):
+    """Largest violation of the 1e-8 KKT contract, recomputed from the template."""
+    primal = float(np.max(tpl.G @ z - h))
+    sign = float(-np.min(y))
+    stationarity = float(np.max(np.abs(tpl.Q @ z + q + tpl.G.T @ y))) / max(1.0, float(np.max(np.abs(q))))
+    return max(primal, sign, stationarity)
+
+
+@pytest.fixture(scope="module")
+def central_run(default_problem, default_cfg):
+    """A fresh controller over the Monte-Carlo bank: 50 steps from each
+    acceptance initial state, with the bank's realizations, then each
+    initial state solved once more.
+
+    Returns (controller, central outcomes as [(n, x, q, h, outcome)],
+    ParametricQP.solve calls of each closed-loop step).
+    """
+    ctl = AdaptiveController(default_problem.system, default_cfg)
+    central = []
+    calls = [0]
+    with pytest.MonkeyPatch.context() as mp:
+        verdict = ctl._central_verdict
+
+        def recorded(n, x, q, h):
+            out = verdict(n, x, q, h)
+            if out is not None:
+                central.append((n, x, q, h, out))
+            return out
+
+        mp.setattr(ctl, "_central_verdict", recorded)
+        for solver in ctl.solvers.values():
+            def counted(q, h, solve=solver.solve):
+                calls[0] += 1
+                return solve(q, h)
+
+            mp.setattr(solver, "solve", counted)
+        per_step = []
+        solve = ctl.solve
+
+        def step(x):
+            before = calls[0]
+            sol = solve(x)
+            per_step.append(calls[0] - before)
+            return sol
+
+        mp.setattr(ctl, "solve", step)
+        for i, x0 in enumerate(X0_SET):
+            real = sample_realization(default_problem.system, CLOSED_LOOP_STEPS, seed=_bank_seed(i))
+            trace = simulate_closed_loop(
+                default_problem.system, default_cfg, x0, CLOSED_LOOP_STEPS, real, controller=ctl
+            )
+            assert trace.completed == CLOSED_LOOP_STEPS and trace.clean
+        mp.setattr(ctl, "solve", solve)
+        for x0 in X0_SET:
+            ctl.solve(np.asarray(x0))
+    return ctl, central, per_step
+
+
+class TestCentral:
+    def test_central_outcomes_meet_kkt_contract_and_match_admm(self, central_run):
+        # every central outcome is a 1e-8 KKT point of its horizon's QP, and
+        # its nominal inputs are those an ADMM solve of the same (q, h) finds
+        ctl, central, _ = central_run
+        assert len(central) >= len(X0_SET) * CLOSED_LOOP_STEPS // 2
+        for n, x, q, h, out in central:
+            tpl = ctl.templates[n]
+            assert out.status is SolveStatus.OPTIMAL and out.backend == "central"
+            assert out.iterations == 0 and not np.any(out.y_ineq)
+            assert _kkt_violation(tpl, q, h, out.x_opt, out.y_ineq) <= 1e-8, (n, x)
+            z = out.x_opt
+            assert out.objective == pytest.approx(0.5 * z @ tpl.Q @ z + q @ z, abs=1e-9)
+            ref = ParametricQP(tpl.Q, tpl.G).solve(q, h)
+            assert ref.status is SolveStatus.OPTIMAL
+            u, _ = tpl.extract(z)
+            u_ref, _ = tpl.extract(ref.x_opt)
+            assert np.max(np.abs(u - u_ref)) <= 1e-7, (n, x)
+
+    def test_qp_solver_runs_on_at_most_a_tenth_of_closed_loop_steps(self, central_run):
+        # the unconstrained horizons of the closed loop need no ADMM solve;
+        # the origin solves that build the candidates are counted too
+        _, _, per_step = central_run
+        assert len(per_step) == len(X0_SET) * CLOSED_LOOP_STEPS
+        with_solve = sum(1 for c in per_step if c)
+        assert with_solve <= 0.1 * len(per_step), "%d of %d steps" % (with_solve, len(per_step))
+
+    def test_unconstrained_minimiser_outside_a_row_reaches_admm(
+        self, monkeypatch, default_problem, default_cfg
+    ):
+        # on the ray x = s (1, 0) the candidate's row values are affine in s;
+        # just below the first row it crosses the state settles centrally,
+        # just above it the longest horizon (never pruned) runs ADMM
+        ctl = AdaptiveController(default_problem.system, default_cfg)
+        n = max(ctl.templates)
+        tpl = ctl.templates[n]
+        Z, z0 = ctl._candidate(n)
+        v = np.array([1.0, 0.0])
+        slope = tpl.G @ Z @ v + tpl._rhs_map @ v
+        offset = tpl.G @ z0 - tpl._h_base
+        rising = slope > 0
+        s_cross = float(np.min((1e-8 - offset[rising]) / slope[rising]))
+        calls = _count_qp_solves(monkeypatch, ctl)
+        inside, outside = 0.999 * s_cross * v, 1.001 * s_cross * v
+        assert np.max(tpl.G @ (Z @ inside + z0) - tpl.parts(inside)[1]) <= 1e-8
+        assert ctl.solve(inside).is_feasible and calls[n] == 0
+        assert np.max(tpl.G @ (Z @ outside + z0) - tpl.parts(outside)[1]) > 1e-8
+        q, h = tpl.parts(outside)
+        assert ctl._central_verdict(n, outside, q, h) is None
+        sol = ctl.solve(outside)
+        assert sol.is_feasible and calls[n] == 1
+
+    def test_verdicts_do_not_depend_on_visit_order(self, default_problem, default_cfg):
+        # central and ADMM states alike, with the candidates built at
+        # different visits in the two orders
+        states = [np.asarray(x0) for x0 in X0_SET] + _grid_states(default_problem)[::7]
+        real = sample_realization(default_problem.system, 10, seed=_bank_seed(0))
+        trace = simulate_closed_loop(
+            default_problem.system, default_cfg, X0_SET[0], 10, real,
+            controller=AdaptiveController(default_problem.system, default_cfg),
+        )
+        states += list(trace.states)
+        runs = []
+        for order in (states, states[::-1]):
+            fresh = AdaptiveController(default_problem.system, default_cfg)
+            runs.append({tuple(x): fresh.solve(x) for x in order})
+        feasible = 0
+        for key, sol in runs[0].items():
+            other = runs[1][key]
+            assert (sol.status, sol.N_star, sol.J_star) == (other.status, other.N_star, other.J_star), key
+            if sol.is_feasible:
+                assert np.array_equal(sol.u_bar_star, other.u_bar_star), key
+                assert np.array_equal(sol.M_star.M, other.M_star.M), key
+                feasible += 1
+        assert feasible > len(X0_SET)
+
+    def test_failed_origin_solve_leaves_the_horizon_to_admm(
+        self, monkeypatch, default_problem, default_cfg, default_controller
+    ):
+        ctl = AdaptiveController(default_problem.system, default_cfg)
+        n = max(ctl.templates)
+        solver = ctl.solvers[n]
+        origin_h = ctl.templates[n].parts(np.zeros(2))[1]
+        solve = solver.solve
+        calls = []
+
+        def failing_at_origin(q, h):
+            calls.append(1)
+            if np.array_equal(h, origin_h):
+                return SolveOutcome(status=SolveStatus.NUMERICAL_FAILURE)
+            return solve(q, h)
+
+        monkeypatch.setattr(solver, "solve", failing_at_origin)
+        x = np.array([1.0, 2.0])
+        sol = ctl.solve(x)
+        assert ctl.candidates[n] is None and len(calls) == 2  # origin, then x
+        ref = default_controller.solvers[n].solve(*ctl.templates[n].parts(x))
+        assert sol.N_star == n and sol.J_star == ref.objective + ctl.templates[n].constant(x)
+        ctl.solve(x)
+        assert len(calls) == 3  # no second origin solve
+
+    def test_central_horizons_without_origin_solve(self, default_controller):
+        # N_t = 1 has no feedback or absolute-value variables: its candidate
+        # is the unconstrained gain alone
+        Z, z0 = default_controller._candidate(1)
+        np.testing.assert_array_equal(Z, default_controller._gains[1])
+        assert not np.any(z0)
 
 
 class TestRollout:

@@ -3,31 +3,28 @@ import numpy as np
 import pytest
 
 from rampc.baseline import BaselineController, make_baseline_config
-from rampc.qpsolver import (
-    ParametricQP,
-    QuadraticProgram,
-    SolveStatus,
-    admm,
-    solve_lp,
-    solve_qp,
-    verify_farkas,
-)
+from rampc.qpsolver import ParametricQP, SolveStatus, admm, solve_lp, verify_farkas
+
+
+def _solve(Q, q, G, h):
+    """One solve of min 1/2 x'Qx + q'x s.t. G x <= h."""
+    return ParametricQP(Q, G).solve(q, h)
 
 
 def test_min_quadratic_above_one():
     # min x^2 s.t. x >= 1: with the 1/2 x'Qx convention Q=2 and the optimum is 1
-    out = solve_qp(QuadraticProgram(Q=[[2.0]], q=[0.0], G_ineq=[[-1.0]], h_ineq=[-1.0]))
+    out = _solve([[2.0]], [0.0], [[-1.0]], [-1.0])
     assert out.status is SolveStatus.OPTIMAL
     assert abs(out.x_opt[0] - 1.0) < 1e-8
     assert abs(out.objective - 1.0) < 1e-8
 
 
 def test_contradictory_rows_infeasible_with_certificate():
-    prog = QuadraticProgram(Q=[[0.0]], q=[0.0], G_ineq=[[1.0], [-1.0]], h_ineq=[0.0, -1.0])
-    out = solve_qp(prog)
+    G, h = np.array([[1.0], [-1.0]]), np.array([0.0, -1.0])
+    out = _solve([[0.0]], [0.0], G, h)
     assert out.status is SolveStatus.INFEASIBLE
     assert out.farkas is not None
-    assert verify_farkas(prog.G_ineq, prog.h_ineq, None, None, out.farkas)
+    assert verify_farkas(G, h, None, None, out.farkas)
 
 
 def _projected_gradient(Q, q, lo, hi, iters=200_000):
@@ -49,7 +46,7 @@ def test_random_psd_box_qp_matches_projected_gradient():
         lo, hi = -0.8 * np.ones(n), 0.8 * np.ones(n)
         G = np.vstack([np.eye(n), -np.eye(n)])
         h = np.concatenate([hi, -lo])
-        out = solve_qp(QuadraticProgram(Q=Q, q=q, G_ineq=G, h_ineq=h))
+        out = _solve(Q, q, G, h)
         assert out.status is SolveStatus.OPTIMAL
         ref = _projected_gradient(Q, q, lo, hi)
         assert abs(out.objective - ref) < 1e-6
@@ -63,7 +60,7 @@ def test_objective_matches_quadratic_form_and_kkt():
     q = rng.normal(size=n)
     G = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(6, n))])
     h = np.concatenate([np.ones(2 * n), rng.normal(size=6) + 4.0])
-    out = solve_qp(QuadraticProgram(Q=Q, q=q, G_ineq=G, h_ineq=h))
+    out = _solve(Q, q, G, h)
     assert out.status is SolveStatus.OPTIMAL
     x, y = out.x_opt, out.y_ineq
     assert abs(out.objective - (0.5 * x @ Q @ x + q @ x)) < 1e-8
@@ -77,13 +74,13 @@ def test_degenerate_cost_block():
     Q = np.diag([2.0, 0.0, 0.0])
     G = np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 1.0]]])
     h = np.concatenate([np.full(3, 2.0), np.full(3, 2.0), [1.0]])
-    out = solve_qp(QuadraticProgram(Q=Q, q=[-2.0, 0.0, 0.0], G_ineq=G, h_ineq=h))
+    out = _solve(Q, [-2.0, 0.0, 0.0], G, h)
     assert out.status is SolveStatus.OPTIMAL
     assert abs(out.x_opt[0] - 1.0) < 1e-7  # unconstrained minimum of (x0-1)^2
 
 
 def test_unbounded_qp_detected():
-    out = solve_qp(QuadraticProgram(Q=[[0.0]], q=[-1.0], G_ineq=[[-1.0]], h_ineq=[0.0]))
+    out = _solve([[0.0]], [-1.0], [[-1.0]], [0.0])
     assert out.status is SolveStatus.UNBOUNDED
 
 
@@ -93,8 +90,7 @@ def test_determinism_bitwise():
     q = rng.normal(size=12)
     G = np.vstack([np.eye(12), -np.eye(12), rng.normal(size=(10, 12))])
     h = np.concatenate([2 * np.ones(24), rng.normal(size=10) + 3])
-    prog = QuadraticProgram(Q=Q, q=q, G_ineq=G, h_ineq=h)
-    o1, o2 = solve_qp(prog), solve_qp(prog)
+    o1, o2 = _solve(Q, q, G, h), _solve(Q, q, G, h)
     assert o1.status == o2.status
     assert o1.objective == o2.objective
     assert np.array_equal(o1.x_opt, o2.x_opt)
@@ -188,16 +184,17 @@ def test_hard_state_adapts_step_size_reproducibly(default_problem, default_contr
     assert first.objective == again.objective
 
 
-def test_psd_validation_rejects_indefinite():
-    with pytest.raises(ValueError):
-        QuadraticProgram(Q=[[-1.0]], q=[0.0], G_ineq=[[1.0]], h_ineq=[1.0])
-    with pytest.raises(ValueError):
-        QuadraticProgram(Q=[[1.0, 0.5], [0.0, 1.0]], q=[0.0, 0.0], G_ineq=np.zeros((1, 2)), h_ineq=[1.0])
+def test_shape_validation_rejects_mismatch():
+    # Q must be square and match G's column count; definiteness is not checked
+    with pytest.raises(ValueError, match="square"):
+        ParametricQP(np.ones((2, 3)), np.ones((1, 3)))
+    with pytest.raises(ValueError, match="columns"):
+        ParametricQP(np.eye(2), np.ones((1, 3)))
+    with pytest.raises(ValueError, match="columns"):
+        ParametricQP(np.eye(3), np.ones((4, 2)))
 
 
 def test_qp_without_inequality_rows_rejected():
     # every QP the package poses has inequality rows; a G with none is refused
     with pytest.raises(ValueError, match="no rows"):
         ParametricQP(np.eye(2), np.zeros((0, 2)))
-    with pytest.raises(ValueError, match="no rows"):
-        solve_qp(QuadraticProgram(Q=np.eye(2), q=[1.0, 0.0], G_ineq=np.zeros((0, 2)), h_ineq=[]))

@@ -8,6 +8,13 @@ every INFEASIBLE horizon must carry a Farkas certificate that
 ``verify_farkas`` accepts against the template's G and ``parts(x)``.  Once
 the loop is feasible it stays feasible, and each optimal cost is at most
 the candidate tail cost of the step before (the descent check).
+
+Every horizon settled by its central candidate (``backend="central"``)
+meets the 1e-8 KKT contract, recomputed here; a horizon whose origin QP was
+not OPTIMAL has no candidate and is never settled centrally; and N* equals
+that of an ADMM-only reference (every horizon solved by ``ParametricQP``)
+wherever the reference's winning cost is apart from every other horizon's
+by more than 1e-8 relative.
 """
 import numpy as np
 from hypothesis import assume, given, settings
@@ -39,6 +46,16 @@ def test_closed_loop_on_random_systems(seed, radii):
         assume(False)  # the hull screen or the invariant set rejected this draw
     cfg = MPCConfig(P=P, R=R, N=3, terminal=term, bound=net_additive_bound(sys))
     ctl = AdaptiveController(sys, cfg)
+    central = []
+    verdict = ctl._central_verdict
+
+    def recorded(n, x, q, h):
+        out = verdict(n, x, q, h)
+        if out is not None:
+            central.append((n, q, h, out))
+        return out
+
+    ctl._central_verdict = recorded
     real = sample_realization(sys, STEPS, seed=seed)
     A_true, B_true = real.A_true(sys), real.B_true(sys)
     lo, hi = sys.X.bounding_box()
@@ -52,6 +69,15 @@ def test_closed_loop_on_random_systems(seed, radii):
             if r.status is SolveStatus.INFEASIBLE:
                 tpl = ctl.templates[r.N_t]
                 assert verify_farkas(tpl.G, tpl.parts(x)[1], None, None, r.farkas), (t, x, r.N_t)
+        for n, q, h, out in central:
+            tpl = ctl.templates[n]
+            z, y = out.x_opt, out.y_ineq
+            assert ctl.candidates[n] is not None and out.backend == "central", (t, x, n)
+            assert np.max(tpl.G @ z - h) <= 1e-8 and np.min(y) >= 0.0, (t, x, n)
+            stationarity = np.max(np.abs(tpl.Q @ z + q + tpl.G.T @ y))
+            assert stationarity <= 1e-8 * max(1.0, np.max(np.abs(q))), (t, x, n)
+        central.clear()
+        _check_against_admm_only(ctl, x, sol)
         if not sol.is_feasible:
             assert prev is None, (t, x)  # recursive feasibility
             break
@@ -63,3 +89,24 @@ def test_closed_loop_on_random_systems(seed, radii):
         x_next = A_true @ x + B_true @ u + real.w_sequence[t]
         prev = (sol, x_next - sys.A_bar @ x - sys.B_bar @ u)
         x = x_next
+    for n, cand in ctl.candidates.items():
+        # a candidate exists exactly when the horizon's origin QP is OPTIMAL
+        tpl = ctl.templates[n]
+        origin = ctl.solvers[n].solve(*tpl.parts(np.zeros(sys.d)))
+        assert (cand is None) == (origin.status is not SolveStatus.OPTIMAL), n
+
+
+def _check_against_admm_only(ctl, x, sol):
+    """N* of ``sol`` equals the ADMM-only selection when that one is clear."""
+    costs = {}
+    for n, tpl in ctl.templates.items():
+        out = ctl.solvers[n].solve(*tpl.parts(x))
+        if out.status is SolveStatus.OPTIMAL:
+            costs[n] = out.objective + tpl.constant(x)
+    if not costs:
+        assert not sol.is_feasible, x
+        return
+    n_ref = min(costs, key=lambda n: (costs[n], n))
+    J = costs[n_ref]
+    if all(abs(c - J) > 1e-8 * (1.0 + abs(J)) for n, c in costs.items() if n != n_ref):
+        assert sol.N_star == n_ref, (x, costs)

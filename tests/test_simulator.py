@@ -135,10 +135,13 @@ def test_roa_refuses_numerical_failures(quiet_scalar, monkeypatch):
     from rampc.qpsolver.admm import ParametricQP
 
     prob, cfg = quiet_scalar
+    # the whole solve layer fails: no ADMM solve succeeds and no point, the
+    # controller's central candidates included, passes the KKT check
     monkeypatch.setattr(
         ParametricQP, "solve",
         lambda self, q, h_ineq: SolveOutcome(status=SolveStatus.NUMERICAL_FAILURE),
     )
+    monkeypatch.setattr(ParametricQP, "_kkt_ok", lambda self, x, y, q, h: False)
     with pytest.raises(SolverNumericalError):
         estimate_roa(prob.system, cfg, 3)
 
