@@ -574,7 +574,7 @@ class AdaptiveController:
             objective=float(0.5 * z @ (solver.Q @ z) + q @ z),
             y_ineq=y,
             backend="central",
-            diagnostics={"tightened": False, "factorizations": 0, "rho_updates": 0},
+            diagnostics={"factorizations": 0, "rho_updates": 0},
             solve_time=time.perf_counter() - t0,
         )
 
@@ -596,7 +596,7 @@ class AdaptiveController:
             status=SolveStatus.INFEASIBLE,
             farkas={"y": cuts.Y[i], "nu": np.zeros(0), "gap": float(g[i])},
             backend="facets",
-            diagnostics={"facet": i, "tightened": False, "factorizations": 0, "rho_updates": 0},
+            diagnostics={"facet": i, "factorizations": 0, "rho_updates": 0},
             solve_time=time.perf_counter() - t0,
         )
 

@@ -9,12 +9,12 @@ Every problem has one form: inequality constraints ``G x <= h`` only, with
 a quadratic (``ParametricQP``) or linear (``solve_lp``)
 objective.  The ADMM constants are fixed; there is no settings object.
 
-A QP solve runs ADMM until its residuals reach 1e-6 and verifies the
-iterate against the 1e-8 KKT conditions.  If that check fails, the residual
-target drops to 1e-10 and every later check tries the KKT conditions again;
-an iterate that reaches 1e-10 and still fails is NUMERICAL_FAILURE.  Every
-OPTIMAL QP result is the verified ADMM iterate; INFEASIBLE is reported only
-with a Farkas certificate from an exact LP probe.
+A QP solve runs ADMM and, every 25 iterations, checks the iterate against
+the KKT contract: primal feasibility G x - h <= 1e-8 (absolute), y >= 0
+and stationarity |Q x + q + G'y| <= 1e-8 * max(1, |q|), in the max norm.
+It returns the first iterate that passes as OPTIMAL; an iterate whose
+residuals reach 1e-10 and still fails is NUMERICAL_FAILURE.  INFEASIBLE is
+reported only with a Farkas certificate from an exact LP probe.
 """
 from .admm import ParametricQP, active_kernel
 from .lp import farkas_certificate, feasible_point, solve_lp, verify_farkas

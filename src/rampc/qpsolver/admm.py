@@ -17,19 +17,16 @@ arguments (iterates and step-size adaptation always restart from the same
 state), so repeated solves are bitwise reproducible.  The ADMM constants are
 fixed module constants; nothing about the iteration is configurable.
 
-Accuracy model: the ADMM loop checks its residuals every ``_CHECK_EVERY``
+Stopping rule: the ADMM loop checks its iterate every ``_CHECK_EVERY``
 iterations and, at every second check, adapts the step size from the ratio
 of the primal to the dual residual (Boyd et al. 2011, sec. 3.4.1; Stellato
-et al. 2020).  Once the residuals reach a moderate tolerance, the unscaled
-iterate (duals clipped at zero) is verified against absolute 1e-8 primal
-feasibility, dual sign and stationarity.  If that check fails, the residual
-target is tightened to 1e-10 and every later check verifies the iterate
-again, returning as soon as it meets the 1e-8 contract; an iterate that
-reaches 1e-10 residuals and still fails is NUMERICAL_FAILURE, never a result
-that misses the contract.  Every OPTIMAL result is the verified ADMM
-iterate.  An INFEASIBLE verdict is never emitted on ADMM evidence alone: it
-is confirmed by an exact LP feasibility probe and carries a verified Farkas
-certificate.
+et al. 2020).  Every check verifies the unscaled iterate, duals clipped at
+zero, against the KKT contract of ``_kkt_ok`` and returns it as OPTIMAL at
+the first check that passes; the residuals only decide when to give up: an
+iterate whose residuals reach 1e-10 and that still fails the contract is
+NUMERICAL_FAILURE, never a result that misses it.  An INFEASIBLE verdict is
+never emitted on ADMM evidence alone: it is confirmed by an exact LP
+feasibility probe and carries a verified Farkas certificate.
 """
 from __future__ import annotations
 
@@ -47,12 +44,12 @@ KERNEL = "sparse"
 _SIGMA = 1e-6
 _ALPHA = 1.6
 _RHO = 0.1  # initial step size
-# first residual target (absolute and relative); after a failed KKT check it
-# becomes 1e-10, and from then on every check tries the KKT contract
-_EPS = 1e-6
+# residual level (absolute and relative) at which an iterate that still
+# fails the KKT contract is a numerical failure
+_GIVE_UP = 1e-10
 _EPS_INF = 1e-4  # first threshold of both infeasibility signals
 _MAX_ITER = 50_000
-# iterations between residual checks; at every second check (every
+# iterations between checks of the iterate; at every second check (every
 # 2 * _CHECK_EVERY iterations) the step size adapts to _RHO times a factor
 # within [1e-4, 1e4], in half-decade steps and only when the new factor
 # differs by more than 5x
@@ -146,11 +143,12 @@ class ParametricQP:
             raise ValueError("G_ineq has no rows: every QP has inequality constraints")
         self.n = Q.shape[0]
         self.m = G.shape[0]
-        self.Q = Q
-        self.G = G
+        self.G = G  # dense, for the HiGHS feasibility probe only
 
         self.d, self.e, self.c = _ruiz_equilibrate(Q, G, _RUIZ_ITERS)
-        # unscaled G for the residuals and the equilibrated A_s for the loop
+        # unscaled Q and G for the residuals, the KKT check and the objective;
+        # the equilibrated A_s for the loop
+        self.Q = sp.csr_matrix(Q)
         self.A = sp.csr_matrix(G)
         self.At = self.A.T.tocsr()
         self.A_s = sp.csr_matrix(G * self.e[:, None] * self.d[None, :])
@@ -231,11 +229,13 @@ class ParametricQP:
         return not np.any(Adx[np.isfinite(up)] > eps * nrm)
 
     def _kkt_ok(self, x, y, q, h):
-        if float(np.max(self.G @ x - h)) > _KKT_TOL:
+        """The contract of every OPTIMAL result: G x - h <= 1e-8, y >= 0 and
+        |Q x + q + G'y| <= 1e-8 * max(1, |q|), all in the max norm."""
+        if float(np.max(self.A @ x - h)) > _KKT_TOL:
             return False
-        if float(y.min(initial=0.0)) < -_KKT_TOL:
+        if float(y.min(initial=0.0)) < 0.0:
             return False
-        r_d = self.Q @ x + q + self.G.T @ y
+        r_d = self.Q @ x + q + self.At @ y
         return float(np.max(np.abs(r_d))) <= _KKT_TOL * max(1.0, float(np.max(np.abs(q), initial=0.0)))
 
     # -- main solve -----------------------------------------------------------
@@ -256,13 +256,10 @@ class ParametricQP:
         iters = 0
         eps_pinf = eps_dinf = _EPS_INF
         false_alarms = 0
-        eps = _EPS
-        tightened = False
         rho_updates = 0
 
         def finish(status, diagnostics=(), **kw):
             diag = {
-                "tightened": tightened,
                 "factorizations": len(self._factor_cache) - n_factors,
                 "rho_updates": rho_updates,
             }
@@ -279,22 +276,14 @@ class ParametricQP:
             )
             iters += _CHECK_EVERY
             xu, zu, yu = self._unscale(x, z, y)
+            y_ineq = np.maximum(yu, 0.0)
+            if self._kkt_ok(xu, y_ineq, q, h):
+                obj = float(0.5 * xu @ (self.Q @ xu) + q @ xu)
+                return finish(SolveStatus.OPTIMAL, x_opt=xu, objective=obj, y_ineq=y_ineq)
             r_p, r_d, scale_p, scale_d = self._residuals(xu, zu, yu, q)
-            eps_p = eps + eps * scale_p
-            eps_d = eps + eps * scale_d
-            converged = r_p <= eps_p and r_d <= eps_d
-            # once tightened, every check tries the contract itself: 1e-10
-            # residuals only decide when to give up
-            if converged or tightened:
-                y_ineq = np.maximum(yu, 0.0)
-                if self._kkt_ok(xu, y_ineq, q, h):
-                    obj = float(0.5 * xu @ (self.Q @ xu) + q @ xu)
-                    return finish(SolveStatus.OPTIMAL, x_opt=xu, objective=obj, y_ineq=y_ineq)
-            if converged:
-                if not tightened:  # KKT check failed: push the loop further first
-                    eps = 1e-10
-                    tightened = True
-                    continue
+            eps_p = _GIVE_UP + _GIVE_UP * scale_p
+            eps_d = _GIVE_UP + _GIVE_UP * scale_d
+            if r_p <= eps_p and r_d <= eps_d:
                 return finish(SolveStatus.NUMERICAL_FAILURE)
             # infeasibility detection (confirmed exactly before reporting)
             dxu = self.d * dx
@@ -312,7 +301,7 @@ class ParametricQP:
                     SolveStatus.UNBOUNDED, diagnostics={"ray": dxu / max(np.max(np.abs(dxu)), 1e-30)}
                 )
             if iters % (2 * _CHECK_EVERY) == 0 and r_d > 0:
-                ratio = (r_p / max(eps_p, 1e-30)) / (r_d / max(eps_d, 1e-30))
+                ratio = (r_p / eps_p) / (r_d / eps_d)
                 new_scale = _quantize_rho(rho_scale * float(np.sqrt(ratio)))
                 new_scale = min(max(new_scale, 1e-4), 1e4)
                 if new_scale != rho_scale and (new_scale > 5 * rho_scale or new_scale < rho_scale / 5):

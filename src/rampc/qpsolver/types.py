@@ -21,8 +21,13 @@ class SolveStatus(enum.Enum):
 class SolveOutcome:
     """Result of one LP/QP solve.
 
-    When status is OPTIMAL, ``x_opt`` satisfies the constraints to 1e-8 and
-    ``objective`` equals 1/2 x'Qx + q'x (c'x for LPs) evaluated at ``x_opt``.
+    When status is OPTIMAL, ``objective`` equals 1/2 x'Qx + q'x (c'x for
+    LPs) evaluated at ``x_opt``, and a QP result meets the KKT contract
+    with its multipliers ``y_ineq``, all in the max norm: primal
+    feasibility G x - h <= 1e-8 (absolute), y >= 0, and stationarity
+    |Q x + q + G'y| <= 1e-8 * max(1, |q|).  The stationarity bound is
+    relative to q, so at a large q an OPTIMAL point may sit farther from
+    the exact minimiser than 1e-8.
     When status is INFEASIBLE, ``farkas`` holds a verified certificate
     {"y": ..., "nu": ..., "gap": ...} with y >= 0, G'y = 0 and
     gap = h'y < 0; ``nu`` is always empty, since no problem has equality
@@ -37,8 +42,7 @@ class SolveOutcome:
     ``polished`` is always False: no solver refines its result after
     convergence.  The field stays because the benchmark's tracing
     (``perfbench/tracing.py``) reads it.  Every ADMM solve (and every
-    "facets" or "central" outcome, with zeros) fills
-    ``diagnostics`` with ``tightened`` (whether the 1e-10 retry ran),
+    "facets" or "central" outcome, with zeros) fills ``diagnostics`` with
     ``factorizations`` (factor-cache misses during this solve) and
     ``rho_updates`` (step-size changes during this solve); an UNBOUNDED
     result adds the normalized ``ray``.

@@ -687,7 +687,7 @@ class TestFeasibleSetFacets:
             assert out.status is SolveStatus.INFEASIBLE and out.backend == "facets"
             assert out.iterations == 0
             i = out.diagnostics["facet"]
-            assert out.diagnostics == {"facet": i, "tightened": False, "factorizations": 0, "rho_updates": 0}
+            assert out.diagnostics == {"facet": i, "factorizations": 0, "rho_updates": 0}
             g = cuts.offsets - cuts.normals @ x
             assert i == int(np.argmin(g)) and out.farkas["gap"] == g[i]
             assert np.array_equal(out.farkas["y"], cuts.Y[i]) and out.farkas["nu"].size == 0

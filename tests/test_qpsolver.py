@@ -131,12 +131,17 @@ def test_farkas_on_random_infeasible_systems():
         assert verify_farkas(G, h, None, None, out.farkas)
 
 
-def test_factor_solves_dense_x_update_system(default_problem, default_cfg, default_controller):
-    # every horizon QP of both banks, at the base step size and at both clamps
+@pytest.fixture(scope="module")
+def baseline_controller(default_problem, default_cfg):
     prob = default_problem
     bcfg = make_baseline_config(prob.system, prob.K, prob.P, prob.R, prob.N, bound=default_cfg.bound)
-    baseline = BaselineController(prob.system, bcfg)
-    solvers = list(default_controller.solvers.values()) + list(baseline.solvers.values())
+    return BaselineController(prob.system, bcfg)
+
+
+def test_factor_solves_dense_x_update_system(default_controller, baseline_controller):
+    # every horizon QP of both banks, at the base step size and at both clamps
+    banks = (default_controller, baseline_controller)
+    solvers = [solver for bank in banks for solver in bank.solvers.values()]
     rng = np.random.default_rng(13)
     for solver in solvers:
         A_s = solver.A_s.toarray()
@@ -148,18 +153,65 @@ def test_factor_solves_dense_x_update_system(default_problem, default_cfg, defau
             assert residual <= 1e-10 * np.linalg.norm(b), (solver.n, scale, residual)
 
 
-def test_diagnostics_report_tightening_and_factorizations(default_controller):
+def _dense_kkt_met(tpl, q, h, x, y):
+    """The 1e-8 KKT contract, recomputed from the template's dense Q and G."""
+    stationarity = np.max(np.abs(tpl.Q @ x + q + tpl.G.T @ y))
+    return bool(
+        np.max(tpl.G @ x - h) <= 1e-8 and np.min(y) >= 0.0
+        and stationarity <= 1e-8 * max(1.0, np.max(np.abs(q)))
+    )
+
+
+def test_solve_returns_first_check_meeting_kkt_contract(monkeypatch, default_controller, baseline_controller):
+    # every check's iterate, unscaled with its duals clipped at zero, is tried
+    # against the contract; the solve returns at the first one that meets it
+    iterates = []
+    batch = admm._admm_batch
+
+    def recorded(*args):
+        out = batch(*args)
+        iterates.append(out[:3])
+        return out
+
+    monkeypatch.setattr(admm, "_admm_batch", recorded)
+    cases = [(bank, n, np.zeros(2)) for bank in (default_controller, baseline_controller) for n in bank.templates]
+    cases.append((default_controller, 1, np.array([3.0, -2.0])))
+    for bank, n, x in cases:
+        tpl, solver = bank.templates[n], bank.solvers[n]
+        q, h = tpl.parts(x)
+        iterates.clear()
+        out = solver.solve(q, h)
+        met = [
+            _dense_kkt_met(tpl, q, h, solver.d * xs, np.maximum(solver.e * ys / solver.c, 0.0))
+            for xs, _, ys in iterates
+        ]
+        assert out.is_optimal and met[-1] and not any(met[:-1]), (n, x, met)
+        assert out.iterations == len(met) * admm._CHECK_EVERY, (n, x)
+        assert np.array_equal(out.x_opt, solver.d * iterates[-1][0])
+
+
+def test_contract_never_met_gives_up_before_the_cap(monkeypatch):
+    # residuals alone never make a result OPTIMAL: when no iterate passes the
+    # KKT check, 1e-10 residuals end the solve as a numerical failure
+    monkeypatch.setattr(ParametricQP, "_kkt_ok", lambda self, x, y, q, h: False)
+    G = np.vstack([np.eye(2), -np.eye(2), [[-1.0, -1.0]]])
+    h = np.array([1.0, 1.0, 1.0, 1.0, -1.0])
+    out = _solve(np.diag([2.0, 1.0]), [0.5, -0.25], G, h)
+    assert out.status is SolveStatus.NUMERICAL_FAILURE
+    assert out.iterations < admm._MAX_ITER
+
+
+def test_diagnostics_report_factorizations(default_controller):
     def fresh(n):  # a solver whose factor cache holds only the base step size
         tpl = default_controller.templates[n]
         return tpl, ParametricQP(tpl.Q, tpl.G)
 
-    # N_t = 1 at (3, -2): the 1e-6 stop misses the 1e-8 KKT check and is tightened
     tpl, solver = fresh(1)
     out = solver.solve(*tpl.parts(np.array([3.0, -2.0])))
-    assert out.is_optimal and out.diagnostics["tightened"] is True
+    assert out.is_optimal
     tpl, solver = fresh(5)
     out = solver.solve(*tpl.parts(np.array([3.0, -2.0])))
-    assert out.is_optimal and out.diagnostics == {"tightened": False, "factorizations": 0, "rho_updates": 0}
+    assert out.is_optimal and out.diagnostics == {"factorizations": 0, "rho_updates": 0}
     # N_t = 5 at (-4, -4) changes the step size; a re-solve finds its factor cached
     q, h = tpl.parts(np.array([-4.0, -4.0]))
     first, again = solver.solve(q, h), solver.solve(q, h)

@@ -9,12 +9,14 @@ every INFEASIBLE horizon must carry a Farkas certificate that
 the loop is feasible it stays feasible, and each optimal cost is at most
 the candidate tail cost of the step before (the descent check).
 
-Every horizon settled by its central candidate (``backend="central"``)
-meets the 1e-8 KKT contract, recomputed here; a horizon whose origin QP was
-not OPTIMAL has no candidate and is never settled centrally; and N* equals
-that of an ADMM-only reference (every horizon solved by ``ParametricQP``)
-wherever the reference's winning cost is apart from every other horizon's
-by more than 1e-8 relative.
+Every OPTIMAL result, whether settled by its central candidate
+(``backend="central"``) or solved by ``ParametricQP``, meets the 1e-8 KKT
+contract, recomputed here from the template's dense Q and G (the solver
+checks it on its sparse copies); a horizon whose origin QP was not OPTIMAL
+has no candidate and is never settled centrally; and N* equals that of an
+ADMM-only reference (every horizon solved by ``ParametricQP``) wherever the
+reference's winning cost is apart from every other horizon's by more than
+1e-8 relative.
 """
 import numpy as np
 from hypothesis import assume, given, settings
@@ -70,12 +72,8 @@ def test_closed_loop_on_random_systems(seed, radii):
                 tpl = ctl.templates[r.N_t]
                 assert verify_farkas(tpl.G, tpl.parts(x)[1], None, None, r.farkas), (t, x, r.N_t)
         for n, q, h, out in central:
-            tpl = ctl.templates[n]
-            z, y = out.x_opt, out.y_ineq
             assert ctl.candidates[n] is not None and out.backend == "central", (t, x, n)
-            assert np.max(tpl.G @ z - h) <= 1e-8 and np.min(y) >= 0.0, (t, x, n)
-            stationarity = np.max(np.abs(tpl.Q @ z + q + tpl.G.T @ y))
-            assert stationarity <= 1e-8 * max(1.0, np.max(np.abs(q))), (t, x, n)
+            _assert_kkt_contract(ctl.templates[n], q, h, out, (t, x, n))
         central.clear()
         _check_against_admm_only(ctl, x, sol)
         if not sol.is_feasible:
@@ -96,12 +94,23 @@ def test_closed_loop_on_random_systems(seed, radii):
         assert (cand is None) == (origin.status is not SolveStatus.OPTIMAL), n
 
 
+def _assert_kkt_contract(tpl, q, h, out, where):
+    """``out`` meets the 1e-8 KKT contract, recomputed from the dense template."""
+    z, y = out.x_opt, out.y_ineq
+    assert np.max(tpl.G @ z - h) <= 1e-8 and np.min(y) >= 0.0, where
+    stationarity = np.max(np.abs(tpl.Q @ z + q + tpl.G.T @ y))
+    assert stationarity <= 1e-8 * max(1.0, np.max(np.abs(q))), where
+
+
 def _check_against_admm_only(ctl, x, sol):
-    """N* of ``sol`` equals the ADMM-only selection when that one is clear."""
+    """N* of ``sol`` equals the ADMM-only selection when that one is clear;
+    every OPTIMAL ADMM result meets the KKT contract."""
     costs = {}
     for n, tpl in ctl.templates.items():
-        out = ctl.solvers[n].solve(*tpl.parts(x))
+        q, h = tpl.parts(x)
+        out = ctl.solvers[n].solve(q, h)
         if out.status is SolveStatus.OPTIMAL:
+            _assert_kkt_contract(tpl, q, h, out, (x, n))
             costs[n] = out.objective + tpl.constant(x)
     if not costs:
         assert not sol.is_feasible, x
