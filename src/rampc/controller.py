@@ -29,9 +29,11 @@ the same linear solve as S_n) and a fixed, x-independent tail of feedback
 gains and absolute-value variables, taken once from a QP solve at the
 origin.  When z(x) passes the solver's own 1e-8 KKT check with zero
 multipliers, it is the horizon's OPTIMAL result (``backend="central"``,
-no ADMM iteration); otherwise the horizon runs ADMM.  In closed loop most
-horizons are unconstrained at their optimum, so most steps run no ADMM
-solve at all.  Terminal ingredients: a robust
+no ADMM iteration); otherwise the horizon runs ADMM.  The check's residuals
+are affine in x: they come from maps with one column per state, built with
+the candidate, not from products with the solver's CSR matrices.  In
+closed loop most horizons are unconstrained at their optimum, so most steps
+run no ADMM solve at all.  Terminal ingredients: a robust
 positive invariant terminal set computed with the exact vertex uncertainty
 (and rechecked by LP), and a terminal cost from the closed-loop Lyapunov
 series, which makes the descent inequality hold with equality globally.
@@ -289,6 +291,11 @@ class CaseNTemplate:
                 self._m_index[(k, l)] = base
                 base += m * d
         self.n_m = base - self.n_u
+        # flat positions in the (m N) x (d N) gain matrix of z[n_u : n_u + n_m]
+        i, j = np.divmod(np.arange(m * d), d)
+        self._m_flat = np.array(
+            [(k * m + i) * (d * N) + l * d + j for k, l in self._m_index], dtype=np.intp
+        ).reshape(-1)
 
         # gather tightened rows: phi (input coeffs), g (constant part of
         # (CM+G)'f), the aux support size, the base offset and the x_t map
@@ -384,9 +391,7 @@ class CaseNTemplate:
     def extract(self, z):
         u = z[: self.n_u].reshape(self.horizon, self.m)
         M = np.zeros((self.m * self.horizon, self.d * self.horizon))
-        for (k, l), base in self._m_index.items():
-            blk = z[base : base + self.m * self.d].reshape(self.m, self.d)
-            M[k * self.m : (k + 1) * self.m, l * self.d : (l + 1) * self.d] = blk
+        np.put(M, self._m_flat, z[self.n_u : self.n_u + self.n_m])
         return u, FeedbackGainStack(self.horizon, self.d, self.m, M)
 
     def central_offset(self, z):
@@ -527,6 +532,9 @@ class AdaptiveController:
         # horizon -> (Z_n, z0_n) of its central candidate, or None when it has
         # none; built on the horizon's first visit that reaches the QP path
         self.candidates = {}
+        # horizon -> (C_n, c_n, D_n), the candidate's KKT residuals as affine
+        # maps of x, built with the candidate
+        self._residual_maps = {}
 
     def _candidate(self, n):
         """(Z_n, z0_n) of horizon n's central candidate z(x) = Z_n x + z0_n, or None.
@@ -536,7 +544,8 @@ class AdaptiveController:
         solve at the origin and sets each absolute-value variable tightly,
         to |M0'phi + g| (``CaseNTemplate.central_offset``).  A horizon
         without such variables needs no origin solve; one whose origin solve
-        is not OPTIMAL has no candidate.
+        is not OPTIMAL has no candidate.  With the candidate, its residual
+        maps (C_n, c_n, D_n) of ``_central_verdict`` are stored.
         """
         if n in self.candidates:
             return self.candidates[n]
@@ -549,25 +558,40 @@ class AdaptiveController:
             out = self.solvers[n].solve(*tpl.parts(np.zeros(K.shape[1])))
             cand = (Z, tpl.central_offset(out.x_opt)) if out.is_optimal else None
         self.candidates[n] = cand
+        if cand is not None:
+            n_u = K.shape[0]
+            self._residual_maps[n] = (
+                tpl.G @ Z + tpl._rhs_map,
+                tpl.G @ cand[1] - tpl._h_base,
+                tpl.Q[:n_u, :n_u] @ K + tpl._q_map,
+            )
         return cand
 
-    def _central_verdict(self, n, x, q, h):
+    def _central_verdict(self, n, x, q):
         """OPTIMAL outcome at horizon n's central candidate z(x), or None.
 
         z(x) is accepted only when it passes the solver's own 1e-8 KKT check
-        with zero multipliers, so it is then a minimiser of the horizon's QP
-        at (q, h) to the same contract as an ADMM result.
+        (``ParametricQP._kkt_ok``) with zero multipliers, so it is then a
+        minimiser of the horizon's QP at (q, h(x)) to the same contract as an
+        ADMM result.  Its residuals are affine in x and come from the maps
+        stored with the candidate, of d columns each:
+        G z(x) - h(x) = C_n x + c_n with C_n = G Z_n + R_n and
+        c_n = G z0_n - h_base, and with y = 0 the stationarity residual
+        Q z(x) + q(x) is D_n x = (Q_uu K_n + q_map) x in the nominal inputs and
+        exactly zero elsewhere, where Q and q vanish.  z(x) itself is formed
+        only once the check passes.
         """
         cand = self._candidate(n)
         if cand is None:
             return None
         t0 = time.perf_counter()
-        Z, z0 = cand
-        z = Z @ x + z0
+        C, c, D = self._residual_maps[n]
         solver = self.solvers[n]
         y = np.zeros(solver.m)
-        if not solver._kkt_ok(z, y, q, h):
+        if not solver._kkt_ok(C @ x + c, y, D @ x, q):
             return None
+        Z, z0 = cand
+        z = Z @ x + z0
         return SolveOutcome(
             status=SolveStatus.OPTIMAL,
             x_opt=z,
@@ -641,7 +665,7 @@ class AdaptiveController:
             out = self._facet_verdict(n, x)
             if out is None:
                 q, h = tpl.parts(x)
-                out = self._central_verdict(n, x, q, h) or self.solvers[n].solve(q, h)
+                out = self._central_verdict(n, x, q) or self.solvers[n].solve(q, h)
                 if out.status is SolveStatus.INFEASIBLE and n not in self.feasible_sets:
                     self.feasible_sets[n] = projection_cuts(tpl.G, tpl._rhs_map, tpl._h_base)
                     out = self._facet_verdict(n, x) or out

@@ -15,6 +15,7 @@ one-step recursion; the exactness is enforced by tests to 1e-12.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,15 @@ def build_stacked(A_bar, B_bar, horizon: int) -> StackedDynamics:
     return StackedDynamics(horizon=N, A_stack=A_stack, C=C, G=G)
 
 
+@functools.lru_cache(maxsize=None)
+def _acausal_mask(N, d, m):
+    """Entries of an (m N) x (d N) gain matrix in the blocks (k, l >= k),
+    which causality keeps at zero."""
+    mask = np.arange(d * N)[None, :] // d >= np.arange(m * N)[:, None] // m
+    mask.setflags(write=False)
+    return mask
+
+
 class FeedbackGainStack:
     """Strictly block-lower-triangular disturbance-feedback gains.
 
@@ -82,10 +92,8 @@ class FeedbackGainStack:
 
     @staticmethod
     def _check_causal(M, N, d, m):
-        for k in range(N):
-            blockrow = M[k * m : (k + 1) * m]
-            if np.any(np.abs(blockrow[:, k * d :]) > 0):
-                raise ValueError("feedback gains must be strictly block lower triangular")
+        if np.any(np.abs(M[_acausal_mask(N, d, m)]) > 0):
+            raise ValueError("feedback gains must be strictly block lower triangular")
 
     @classmethod
     def zeros(cls, horizon, d, m):

@@ -22,11 +22,13 @@ iterations and, at every second check, adapts the step size from the ratio
 of the primal to the dual residual (Boyd et al. 2011, sec. 3.4.1; Stellato
 et al. 2020).  Every check verifies the unscaled iterate, duals clipped at
 zero, against the KKT contract of ``_kkt_ok`` and returns it as OPTIMAL at
-the first check that passes; the residuals only decide when to give up: an
-iterate whose residuals reach 1e-10 and that still fails the contract is
-NUMERICAL_FAILURE, never a result that misses it.  An INFEASIBLE verdict is
-never emitted on ADMM evidence alone: it is confirmed by an exact LP
-feasibility probe and carries a verified Farkas certificate.
+the first check that passes.  A check forms the CSR products G x and Q x
+once; the contract, the ADMM residuals and the objective all reuse them.
+The residuals only decide when to give up: an iterate whose residuals reach
+1e-10 and that still fails the contract is NUMERICAL_FAILURE, never a
+result that misses it.  An INFEASIBLE verdict is never emitted on ADMM
+evidence alone: it is confirmed by an exact LP feasibility probe and
+carries a verified Farkas certificate.
 """
 from __future__ import annotations
 
@@ -188,10 +190,9 @@ class ParametricQP:
         yu = self.e * y / self.c
         return xu, zu, yu
 
-    def _residuals(self, xu, zu, yu, q):
-        Ax = self.A @ xu
+    def _residuals(self, Ax, Qx, zu, yu, q):
+        """ADMM residuals of the unscaled iterate, from its products Ax and Qx."""
         r_p = float(np.max(np.abs(Ax - zu)))
-        Qx = self.Q @ xu
         Aty = self.At @ yu
         r_d = float(np.max(np.abs(Qx + q + Aty)))
         scale_p = max(
@@ -228,15 +229,24 @@ class ParametricQP:
         Adx = self.A @ dxu
         return not np.any(Adx[np.isfinite(up)] > eps * nrm)
 
-    def _kkt_ok(self, x, y, q, h):
+    def _kkt_ok(self, primal, y, stationarity, q):
         """The contract of every OPTIMAL result: G x - h <= 1e-8, y >= 0 and
-        |Q x + q + G'y| <= 1e-8 * max(1, |q|), all in the max norm."""
-        if float(np.max(self.A @ x - h)) > _KKT_TOL:
+        |Q x + q + G'y| <= 1e-8 * max(1, |q|), all in the max norm.
+
+        It takes the residuals, not x: ``primal`` is G x - h and
+        ``stationarity`` is Q x + q + G'y (entries left out are exactly
+        zero).  The ADMM loop forms them from its CSR products; a
+        controller's central candidate forms them from affine maps of the
+        state (``AdaptiveController._central_verdict``).
+        """
+        # ndarray methods, not np.max: the wrappers nearly double the cost of
+        # these small reductions, which run on every settled central step
+        if float(primal.max()) > _KKT_TOL:
             return False
         if float(y.min(initial=0.0)) < 0.0:
             return False
-        r_d = self.Q @ x + q + self.At @ y
-        return float(np.max(np.abs(r_d))) <= _KKT_TOL * max(1.0, float(np.max(np.abs(q), initial=0.0)))
+        scale = max(1.0, float(abs(q).max(initial=0.0)))
+        return float(abs(stationarity).max()) <= _KKT_TOL * scale
 
     # -- main solve -----------------------------------------------------------
     def solve(self, q, h_ineq) -> SolveOutcome:
@@ -277,10 +287,12 @@ class ParametricQP:
             iters += _CHECK_EVERY
             xu, zu, yu = self._unscale(x, z, y)
             y_ineq = np.maximum(yu, 0.0)
-            if self._kkt_ok(xu, y_ineq, q, h):
-                obj = float(0.5 * xu @ (self.Q @ xu) + q @ xu)
+            Ax = self.A @ xu
+            Qx = self.Q @ xu
+            if self._kkt_ok(Ax - h, y_ineq, Qx + q + self.At @ y_ineq, q):
+                obj = float(0.5 * xu @ Qx + q @ xu)
                 return finish(SolveStatus.OPTIMAL, x_opt=xu, objective=obj, y_ineq=y_ineq)
-            r_p, r_d, scale_p, scale_d = self._residuals(xu, zu, yu, q)
+            r_p, r_d, scale_p, scale_d = self._residuals(Ax, Qx, zu, yu, q)
             eps_p = _GIVE_UP + _GIVE_UP * scale_p
             eps_d = _GIVE_UP + _GIVE_UP * scale_d
             if r_p <= eps_p and r_d <= eps_d:

@@ -38,7 +38,9 @@ class SolveOutcome:
     "central" for an OPTIMAL result a controller took from a horizon's
     central candidate, the unconstrained minimiser of its cost with a fixed
     tail, after that point passed the same 1e-8 KKT check with zero
-    multipliers (``iterations`` 0, ``y_ineq`` all zero).
+    multipliers (``iterations`` 0, ``y_ineq`` all zero).  The check's
+    residuals come from the solver's CSR products for an ADMM result and
+    from affine maps of the state for a "central" one.
     ``polished`` is always False: no solver refines its result after
     convergence.  The field stays because the benchmark's tracing
     (``perfbench/tracing.py``) reads it.  Every ADMM solve (and every

@@ -167,7 +167,7 @@ def test_numerical_failure_exits_4(scalar_file, tmp_path, monkeypatch):
         ParametricQP, "solve",
         lambda self, q, h_ineq: SolveOutcome(status=SolveStatus.NUMERICAL_FAILURE),
     )
-    monkeypatch.setattr(ParametricQP, "_kkt_ok", lambda self, x, y, q, h: False)
+    monkeypatch.setattr(ParametricQP, "_kkt_ok", lambda self, primal, y, stationarity, q: False)
     rc = main(
         ["simulate", "--problem", str(scalar_file), "--x0", "0.1", "--steps", "2",
          "--seed", "0", "--out", str(tmp_path / "x.csv")]

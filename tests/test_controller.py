@@ -221,6 +221,29 @@ class TestCaseN:
         assert out.status is SolveStatus.OPTIMAL and ref.status is SolveStatus.OPTIMAL
         assert out.objective == pytest.approx(ref.objective, abs=1e-7)
 
+    @pytest.mark.parametrize("bank", ["adaptive", "baseline"])
+    def test_extract_equals_block_loop_reference(self, bank, default_controller, baseline_controller):
+        # z = (ubar stack, the strictly lower M blocks (k, l < k) in row-major
+        # block order, each block row-major, absolute-value variables)
+        ctl = default_controller if bank == "adaptive" else baseline_controller
+        rng = np.random.default_rng(7)
+        horizons = [n for n in ctl.templates if n >= 2]
+        assert horizons
+        for N in horizons:
+            tpl = ctl.templates[N]
+            d, m = tpl.d, tpl.m
+            for _ in range(20):
+                z = rng.normal(size=tpl.n_vars)
+                ref = np.zeros((m * N, d * N))
+                base = m * N
+                for k in range(1, N):
+                    for l in range(k):
+                        ref[k * m : (k + 1) * m, l * d : (l + 1) * d] = z[base : base + m * d].reshape(m, d)
+                        base += m * d
+                u, M = tpl.extract(z)
+                assert np.array_equal(u, z[: m * N].reshape(N, m)), N
+                assert np.array_equal(M.M, ref), N
+
     def test_tightened_rows_match_analytic_and_dominate_samples(self, default_problem, default_cfg, default_controller):
         rng = np.random.default_rng(13)
         sys = default_problem.system
@@ -271,6 +294,14 @@ class TestCaseN:
                     extreme = nominal + wmax * np.sign(coef) @ coef
                     assert extreme == pytest.approx(vals[r], abs=1e-9)
                     r += 1
+
+
+@pytest.fixture(scope="module")
+def baseline_controller(default_problem, default_cfg):
+    """The lumped baseline: the one-horizon bank (N_t = 5) of the same controller."""
+    prob = default_problem
+    bcfg = make_baseline_config(prob.system, prob.K, prob.P, prob.R, prob.N, bound=default_cfg.bound)
+    return BaselineController(prob.system, bcfg)
 
 
 @pytest.fixture(scope="module")
@@ -382,7 +413,7 @@ def _exhaustive_reference(ctl, x):
     for n in sorted(ctl.templates):
         tpl = ctl.templates[n]
         q, h = tpl.parts(x)
-        out = outcomes[n] = ctl._central_verdict(n, x, q, h) or ctl.solvers[n].solve(q, h)
+        out = outcomes[n] = ctl._central_verdict(n, x, q) or ctl.solvers[n].solve(q, h)
         if out.status is SolveStatus.OPTIMAL:
             J = out.objective + tpl.constant(x)
             costs[n] = J
@@ -419,15 +450,14 @@ def _grid_states(problem):
 
 
 @pytest.fixture(scope="module")
-def bank_cases(default_problem, default_cfg, default_controller):
+def bank_cases(default_problem, default_cfg, default_controller, baseline_controller):
     """{bank: (controller, {set name: [(x, pruned solution, exhaustive reference)]})}.
 
     The baseline is the one-horizon bank of the same controller; it is run on
     the adaptive controller's closed-loop states and on the grid.
     """
     prob = default_problem
-    bcfg = make_baseline_config(prob.system, prob.K, prob.P, prob.R, prob.N, bound=default_cfg.bound)
-    banks = {"adaptive": default_controller, "baseline": BaselineController(prob.system, bcfg)}
+    banks = {"adaptive": default_controller, "baseline": baseline_controller}
     sets = {
         "closed_loop": _closed_loop_states(prob, default_cfg, default_controller),
         "grid": _grid_states(prob),
@@ -769,10 +799,10 @@ def central_run(default_problem, default_cfg):
     with pytest.MonkeyPatch.context() as mp:
         verdict = ctl._central_verdict
 
-        def recorded(n, x, q, h):
-            out = verdict(n, x, q, h)
+        def recorded(n, x, q):
+            out = verdict(n, x, q)
             if out is not None:
-                central.append((n, x, q, h, out))
+                central.append((n, x, q, ctl.templates[n].parts(x)[1], out))
             return out
 
         mp.setattr(ctl, "_central_verdict", recorded)
@@ -851,8 +881,7 @@ class TestCentral:
         assert np.max(tpl.G @ (Z @ inside + z0) - tpl.parts(inside)[1]) <= 1e-8
         assert ctl.solve(inside).is_feasible and calls[n] == 0
         assert np.max(tpl.G @ (Z @ outside + z0) - tpl.parts(outside)[1]) > 1e-8
-        q, h = tpl.parts(outside)
-        assert ctl._central_verdict(n, outside, q, h) is None
+        assert ctl._central_verdict(n, outside, tpl.parts(outside)[0]) is None
         sol = ctl.solve(outside)
         assert sol.is_feasible and calls[n] == 1
 
@@ -904,6 +933,31 @@ class TestCentral:
         assert sol.N_star == n and sol.J_star == ref.objective + ctl.templates[n].constant(x)
         ctl.solve(x)
         assert len(calls) == 3  # no second origin solve
+
+    @pytest.mark.parametrize("bank", ["adaptive", "baseline"])
+    def test_verdict_equals_dense_contract_on_uniform_states(
+        self, bank, default_problem, default_controller, baseline_controller
+    ):
+        # the verdict from the affine residual maps equals the contract
+        # recomputed densely on z = Z x + z0 with zero multipliers
+        ctl = default_controller if bank == "adaptive" else baseline_controller
+        X = default_problem.system.X
+        lo, hi = X.bounding_box()
+        for n, tpl in ctl.templates.items():
+            rng = np.random.default_rng(100 + n)
+            xs = rng.uniform(lo, hi, size=(8000, X.dim))
+            xs = xs[np.all(xs @ X.H.T <= X.h, axis=1)][:5000]
+            assert len(xs) == 5000
+            Z, z0 = ctl._candidate(n)
+            y = np.zeros(tpl.G.shape[0])
+            accepted = 0
+            for x in xs:
+                q, h = tpl.parts(x)
+                central = ctl._central_verdict(n, x, q) is not None
+                dense = _kkt_violation(tpl, q, h, Z @ x + z0, y) <= 1e-8
+                assert central == dense, (bank, n, x)
+                accepted += central
+            assert 0 < accepted < len(xs), (bank, n, accepted)
 
     def test_central_horizons_without_origin_solve(self, default_controller):
         # N_t = 1 has no feedback or absolute-value variables: its candidate

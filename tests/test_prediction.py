@@ -96,11 +96,38 @@ def test_causality_perturbation():
             np.testing.assert_array_equal(a, b)
 
 
-def test_strict_causality_enforced():
-    bad = np.zeros((2, 4))
-    bad[0, 0] = 1.0  # block (0, 0) must be zero
+_SHAPES = [(2, 2, 1), (3, 2, 2), (4, 3, 1)]  # (N, d, m)
+
+
+def _acausal_entries():
+    """Every entry (row, column) of every block (k, l >= k) of each shape."""
+    for N, d, m in _SHAPES:
+        for k in range(N):
+            for l in range(k, N):
+                for i in range(m):
+                    for j in range(d):
+                        yield pytest.param(
+                            N, d, m, k * m + i, l * d + j,
+                            id="N%dd%dm%d-k%dl%d-i%dj%d" % (N, d, m, k, l, i, j),
+                        )
+
+
+def _strictly_lower(rng, N, d, m):
+    M = np.zeros((m * N, d * N))
+    for k in range(N):
+        for l in range(k):
+            M[k * m : (k + 1) * m, l * d : (l + 1) * d] = rng.normal(size=(m, d))
+    return M
+
+
+@pytest.mark.parametrize("N, d, m, row, col", list(_acausal_entries()))
+def test_strict_causality_enforced(N, d, m, row, col):
+    # a strictly lower matrix passes; one nonzero in a block (k, l >= k) does not
+    M = _strictly_lower(np.random.default_rng(row * 100 + col), N, d, m)
+    FeedbackGainStack(N, d, m, M)
+    M[row, col] = 1.0
     with pytest.raises(ValueError):
-        FeedbackGainStack(2, 2, 1, bad)
+        FeedbackGainStack(N, d, m, M)
 
 
 def test_history_length_mismatch():

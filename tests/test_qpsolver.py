@@ -193,7 +193,7 @@ def test_solve_returns_first_check_meeting_kkt_contract(monkeypatch, default_con
 def test_contract_never_met_gives_up_before_the_cap(monkeypatch):
     # residuals alone never make a result OPTIMAL: when no iterate passes the
     # KKT check, 1e-10 residuals end the solve as a numerical failure
-    monkeypatch.setattr(ParametricQP, "_kkt_ok", lambda self, x, y, q, h: False)
+    monkeypatch.setattr(ParametricQP, "_kkt_ok", lambda self, primal, y, stationarity, q: False)
     G = np.vstack([np.eye(2), -np.eye(2), [[-1.0, -1.0]]])
     h = np.array([1.0, 1.0, 1.0, 1.0, -1.0])
     out = _solve(np.diag([2.0, 1.0]), [0.5, -0.25], G, h)

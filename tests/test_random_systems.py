@@ -51,10 +51,10 @@ def test_closed_loop_on_random_systems(seed, radii):
     central = []
     verdict = ctl._central_verdict
 
-    def recorded(n, x, q, h):
-        out = verdict(n, x, q, h)
+    def recorded(n, x, q):
+        out = verdict(n, x, q)
         if out is not None:
-            central.append((n, q, h, out))
+            central.append((n, q, ctl.templates[n].parts(x)[1], out))
         return out
 
     ctl._central_verdict = recorded

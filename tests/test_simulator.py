@@ -141,7 +141,7 @@ def test_roa_refuses_numerical_failures(quiet_scalar, monkeypatch):
         ParametricQP, "solve",
         lambda self, q, h_ineq: SolveOutcome(status=SolveStatus.NUMERICAL_FAILURE),
     )
-    monkeypatch.setattr(ParametricQP, "_kkt_ok", lambda self, x, y, q, h: False)
+    monkeypatch.setattr(ParametricQP, "_kkt_ok", lambda self, primal, y, stationarity, q: False)
     with pytest.raises(SolverNumericalError):
         estimate_roa(prob.system, cfg, 3)
 
