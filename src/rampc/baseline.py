@@ -34,7 +34,7 @@ class BaselineConfig:
 
 
 def make_baseline_config(
-    sys: UncertainSystem, K, P, R, N, bound: NetAdditiveBound | None = None, max_iter=500
+    sys: UncertainSystem, K, P, R, N, bound: NetAdditiveBound | None = None
 ) -> BaselineConfig:
     """Terminal ingredients for the lumped tube controller.
 
@@ -52,7 +52,7 @@ def make_baseline_config(
     constraint = Polytope(
         np.vstack([sys.X.H, sys.U.H @ K]), np.concatenate([sys.X.h, sys.U.h])
     )
-    X_lump = max_robust_invariant(constraint, [A_cl], w_box, max_iter=max_iter)
+    X_lump = max_robust_invariant(constraint, [A_cl], w_box)
     if X_lump.is_empty():
         raise EmptyTerminalSetError(
             "lumped terminal set is empty (wtilde_max=%.4g)" % bound.w_tilde_max

@@ -88,8 +88,21 @@ def _flags_dict(args, keys):
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
-def _seed(args, prob):
-    return args.seed if args.seed is not None else prob.default_seed
+def _trace_run(args, run):
+    """Shared body of ``simulate`` and ``rollout``: one run written as a CSV trace."""
+    _require_positive(args, "steps")
+    path, prob = _load(args)
+    cfg = config_from_problem(prob)
+    seed = args.seed if args.seed is not None else prob.default_seed
+    x0 = _parse_x0(args.x0, prob.d)
+    manifest = make_manifest(
+        args.command, path, seed, prob.source,
+        _flags_dict(args, ["x0", "steps", "times"]),
+    )
+    real = sample_realization(prob.system, args.steps, seed)
+    trace = run(prob.system, cfg, x0, args.steps, real)
+    write_trace_csv(args.out, trace, manifest, with_times=args.times)
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +155,7 @@ def cmd_terminal_set(args):
 
 
 def cmd_simulate(args):
-    _require_positive(args, "steps")
-    path, prob = _load(args)
-    cfg = config_from_problem(prob)
-    seed = _seed(args, prob)
-    x0 = _parse_x0(args.x0, prob.d)
-    manifest = make_manifest(
-        "simulate", path, seed, prob.source,
-        _flags_dict(args, ["x0", "steps", "times"]),
-    )
-    real = sample_realization(prob.system, args.steps, seed)
-    trace = simulate_closed_loop(prob.system, cfg, x0, args.steps, real)
-    write_trace_csv(args.out, trace, manifest, with_times=args.times)
+    trace = _trace_run(args, simulate_closed_loop)
     if trace.numerical_failure_at is not None:
         raise SolverNumericalError("solver failed at step %d" % trace.numerical_failure_at)
     if trace.infeasible_at is not None:
@@ -214,18 +216,7 @@ def cmd_roa(args):
 
 
 def cmd_rollout(args):
-    _require_positive(args, "steps")
-    path, prob = _load(args)
-    cfg = config_from_problem(prob)
-    seed = _seed(args, prob)
-    x0 = _parse_x0(args.x0, prob.d)
-    manifest = make_manifest(
-        "rollout", path, seed, prob.source,
-        _flags_dict(args, ["x0", "steps", "times"]),
-    )
-    real = sample_realization(prob.system, args.steps, seed)
-    trace = simulate_rollout(prob.system, cfg, x0, args.steps, real)
-    write_trace_csv(args.out, trace, manifest, with_times=args.times)
+    trace = _trace_run(args, simulate_rollout)
     if trace.numerical_failure_at is not None:
         raise SolverNumericalError("time-0 solve failed numerically")
     if trace.infeasible_at is not None:

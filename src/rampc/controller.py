@@ -53,7 +53,7 @@ from .errors import (
     LyapunovDivergenceError,
     VertexUnstableError,
 )
-from .geometry import Polytope, max_robust_invariant, projection_cuts, support, support_lp_many
+from .geometry import FACET_TOL, Polytope, max_robust_invariant, projection_cuts, support, support_lp_many
 from .prediction import FeedbackGainStack, build_stacked, policy_input
 from .qpsolver import ParametricQP, SolveOutcome, SolveStatus
 from .system import NetAdditiveBound, UncertainSystem, net_additive_bound
@@ -62,6 +62,9 @@ _EQ19_TOL = 1e-8
 # a stored facet settles a state only when it is violated by more than
 # _FACET_MARGIN * (1 + |offset|); nearer states take the QP path
 _FACET_MARGIN = 1e-7
+# the terminal-cost series stops once a doubling adds less than this share
+_LYAPUNOV_TOL = 1e-14
+_LYAPUNOV_MAX_DOUBLINGS = 200
 
 
 # ---------------------------------------------------------------------------
@@ -83,26 +86,24 @@ def spectral_radius(A):
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
-def lyapunov_series(A_cl, S, tol=1e-14, max_doublings=200):
+def lyapunov_series(A_cl, S):
     """Sum_{k>=0} (A')^k S A^k by doubling; solves P = S + A'PA."""
     P = S.copy()
     Ak = A_cl.copy()
     norm0 = max(float(np.abs(S).max()), 1e-30)
-    for _ in range(max_doublings):
+    for _ in range(_LYAPUNOV_MAX_DOUBLINGS):
         term = Ak.T @ P @ Ak
         incr = float(np.abs(term).max())
         P = P + term
         Ak = Ak @ Ak
         if not np.isfinite(incr) or incr > 1e12 * norm0:
             raise LyapunovDivergenceError("terminal-cost series diverged")
-        if incr <= tol * float(np.abs(P).max()):
+        if incr <= _LYAPUNOV_TOL * float(np.abs(P).max()):
             return 0.5 * (P + P.T)
     raise LyapunovDivergenceError("terminal-cost series did not converge")
 
 
-def synthesize_terminal(
-    sys: UncertainSystem, K, P, R, *, hull_samples=1000, seed=0, max_iter=500
-) -> TerminalComponents:
+def synthesize_terminal(sys: UncertainSystem, K, P, R, *, hull_samples=1000) -> TerminalComponents:
     """Stability screens, maximal robust invariant terminal set, terminal cost.
 
     The vertex screen is exact; hull-interior stability is only sampled
@@ -127,7 +128,7 @@ def synthesize_terminal(
                 "spectral radius %.6f" % (j, k, rho),
                 vertex_pair=(j, k),
             )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)  # a fixed draw: the screen is reproducible
     hull_max = 0.0
     for _ in range(hull_samples):
         wA = rng.dirichlet(np.ones(sys.n_a))
@@ -144,7 +145,7 @@ def synthesize_terminal(
     constraint = Polytope(
         np.vstack([sys.X.H, sys.U.H @ K]), np.concatenate([sys.X.h, sys.U.h])
     )
-    X_N = max_robust_invariant(constraint, cl, sys.W, max_iter=max_iter)
+    X_N = max_robust_invariant(constraint, cl, sys.W)
     if X_N.is_empty():
         raise EmptyTerminalSetError(
             "maximal robust invariant set inside the constraints is empty"
@@ -168,7 +169,7 @@ def synthesize_terminal(
     )
 
 
-def _recheck_invariance(X_N, cl_vertices, W, tol=1e-7):
+def _recheck_invariance(X_N, cl_vertices, W):
     """LP certificate that X_N is robustly invariant, independent of its vertex cache.
 
     One block-diagonal LP gives the support of X_N along A'H_i for every
@@ -178,7 +179,7 @@ def _recheck_invariance(X_N, cl_vertices, W, tol=1e-7):
     w_sup = np.array([support(W, row) for row in X_N.H])
     worst = support_lp_many(X_N, directions) + np.tile(w_sup, len(cl_vertices))
     offsets = np.tile(X_N.h, len(cl_vertices))
-    if np.any(worst > offsets + tol):
+    if np.any(worst > offsets + FACET_TOL):
         raise ConvergenceError(
             "terminal set fails its invariance recheck (violation %.2e)"
             % float(np.max(worst - offsets))
@@ -208,10 +209,8 @@ class MPCConfig:
             raise ValueError("N must be >= 1")
 
 
-def config_from_problem(prob, *, hull_samples=1000, seed=0) -> MPCConfig:
-    terminal = synthesize_terminal(
-        prob.system, prob.K, prob.P, prob.R, hull_samples=hull_samples, seed=seed
-    )
+def config_from_problem(prob, *, hull_samples=1000) -> MPCConfig:
+    terminal = synthesize_terminal(prob.system, prob.K, prob.P, prob.R, hull_samples=hull_samples)
     return MPCConfig(
         P=prob.P,
         R=prob.R,
@@ -278,7 +277,6 @@ class CaseNTemplate:
     def __init__(self, sys, terminal_H, terminal_h, P, R, P_N, w_tilde_max, horizon):
         d, m, N = sys.d, sys.m, horizon
         sd = build_stacked(sys.A_bar, sys.B_bar, N)
-        self.stacked = sd
         self.horizon = N
         self.d, self.m = d, m
         self.w_tilde_max = float(w_tilde_max)

@@ -32,6 +32,8 @@ from .errors import (
 from .qpsolver import SolveStatus, solve_lp
 
 FACET_TOL = 1e-7
+# relative slack of a candidate vertex in ``vertices_2d``
+_VERTEX_TOL = 1e-9
 # cap on the support LPs of one projection_cuts build: a guard against
 # rounding that keeps finding new points on a nearly straight edge
 _MAX_SUPPORT_LPS = 500
@@ -230,12 +232,12 @@ def support_lp_many(P: Polytope, C) -> np.ndarray:
     raise EmptyPolytopeError("support LP failed: %s" % out.status)
 
 
-def is_subset(P: Polytope, Q: Polytope, tol=FACET_TOL) -> bool:
+def is_subset(P: Polytope, Q: Polytope) -> bool:
     """True iff P is contained in Q (per-facet support test)."""
     if P.dim != Q.dim:
         raise DimensionMismatchError("dim %d vs %d" % (P.dim, Q.dim))
     for row, off in zip(Q.H, Q.h):
-        if support(P, row) > off + tol:
+        if support(P, row) > off + FACET_TOL:
             return False
     return True
 
@@ -493,7 +495,7 @@ def shoelace_area(verts) -> float:
     return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
-def vertices_2d(P: Polytope, tol=1e-9) -> np.ndarray:
+def vertices_2d(P: Polytope) -> np.ndarray:
     """Vertices of a bounded 2-d polytope, ordered counter-clockwise.
 
     Small helper for plots and polygon metrics only; higher dimensions are
@@ -513,7 +515,7 @@ def vertices_2d(P: Polytope, tol=1e-9) -> np.ndarray:
             if abs(np.linalg.det(M)) < 1e-12:
                 continue
             v = np.linalg.solve(M, np.array([h[i], h[j]]))
-            if np.all(H @ v <= h + tol * np.maximum(1.0, np.abs(h)) + FACET_TOL * scale):
+            if np.all(H @ v <= h + _VERTEX_TOL * np.maximum(1.0, np.abs(h)) + FACET_TOL * scale):
                 pts.append(v)
     if not pts:
         return np.zeros((0, 2))

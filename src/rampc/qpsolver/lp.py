@@ -26,6 +26,11 @@ _STATUS_MAP = {
     3: SolveStatus.UNBOUNDED,
 }
 
+# a certificate needs a gap below -_FARKAS_GAP_TOL from the LP, and passes
+# verification with residuals within _VERIFY_TOL, the 1e-8 contract
+_FARKAS_GAP_TOL = 1e-9
+_VERIFY_TOL = 1e-8
+
 
 def _run_linprog(c, G, h):
     return linprog(
@@ -84,7 +89,7 @@ def feasible_point(G, h):
     return None, None
 
 
-def farkas_certificate(G, h, tol=1e-9):
+def farkas_certificate(G, h):
     """Produce a Farkas infeasibility certificate for {x : Gx <= h}.
 
     Solves the alternative LP
@@ -104,7 +109,7 @@ def farkas_certificate(G, h, tol=1e-9):
         method="highs",
         options=_HIGHS_OPTIONS,
     )
-    if res.status != 0 or res.fun > -tol:
+    if res.status != 0 or res.fun > -_FARKAS_GAP_TOL:
         return None
     cert = {"y": np.asarray(res.x, dtype=float), "nu": np.zeros(0), "gap": float(res.fun)}
     if verify_farkas(G, h, None, None, cert):
@@ -112,20 +117,20 @@ def farkas_certificate(G, h, tol=1e-9):
     return None
 
 
-def verify_farkas(G, h, A_eq, b_eq, cert, tol=1e-8):
+def verify_farkas(G, h, A_eq, b_eq, cert):
     """Check a Farkas certificate: y >= 0, G'y + A'nu = 0, h'y + b'nu < 0."""
     y = np.asarray(cert["y"], dtype=float)
     nu = np.asarray(cert.get("nu", np.zeros(0)), dtype=float)
     resid = 0.0
     gap = 0.0
     if y.size:
-        if y.min(initial=0.0) < -tol:
+        if y.min(initial=0.0) < -_VERIFY_TOL:
             return False
         resid = G.T @ y
         gap += float(h @ y)
     if nu.size:
         resid = resid + A_eq.T @ nu
         gap += float(b_eq @ nu)
-    if np.max(np.abs(resid)) > tol:
+    if np.max(np.abs(resid)) > _VERIFY_TOL:
         return False
-    return gap < -tol * 0.01
+    return gap < -_VERIFY_TOL * 0.01

@@ -77,7 +77,7 @@ def trace_csv_text(trace, manifest: RunManifest | None, *, with_times=False) -> 
     """One row per step (t, state, input, residual, N*, J*, margin[, time])
     plus a trailing row holding the final state."""
     d = trace.states.shape[1]
-    m = trace.inputs.shape[1] if trace.inputs.size else 1
+    m = trace.inputs.shape[1]
     buf = io.StringIO()
     if manifest is not None:
         buf.write("# manifest: %s\n" % manifest.as_json())

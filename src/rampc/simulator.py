@@ -1,8 +1,13 @@
 """Closed-loop simulation, ROA estimation by grid feasibility, benchmarks.
 
-Failures are data here: an infeasible step or a constraint violation flags
-the trace and stops it, it never raises.  Each simulated step also records
-the certificate quantity of the stability argument (the optimal cost at the
+One step loop (``_run``) serves both simulated runs; they differ only in how
+step t's input is chosen.  ``simulate_closed_loop`` re-solves at every
+state; ``simulate_rollout`` solves once and plays the time-0 plan, then the
+terminal feedback.  The loop replays the true dynamics, counts constraint
+violations (the final state's included) and records the net-additive
+residual.  Failures are data here: an infeasible step flags the trace and
+ends it, it never raises.  Each closed-loop step also records the
+certificate quantity of the stability argument (the optimal cost at the
 next state may not exceed the shifted-candidate tail cost), so Monte-Carlo
 runs double as theorem monitors.
 """
@@ -66,40 +71,35 @@ def _min_margin(P, v):
     return float(np.min(P.h - P.H @ v))
 
 
-def simulate_closed_loop(
-    sys: UncertainSystem,
-    cfg: MPCConfig,
-    x0,
-    steps: int,
-    realization: UncertaintyRealization,
-    *,
-    controller: AdaptiveController | None = None,
-    margin_tol: float = MARGIN_TOL,
-) -> SimulationTrace:
-    """Run the adaptive controller against one admissible realization.
+def _timed_solve(ctl, x):
+    t0 = time.perf_counter()
+    sol = ctl.solve(x)
+    return sol, time.perf_counter() - t0
 
-    The true dynamics replay  x+ = A_true x + B_true u + w_t  exactly and the
-    recorded net-additive residual is  x+ - A_bar x - B_bar u.
+
+def _run(sys, x0, steps, realization, decide) -> SimulationTrace:
+    """The step loop of both runs.
+
+    ``decide(t, states, inputs, w_tilde)`` reads the history (``states[:t+1]``
+    and the first t rows of the others) and returns ``(sol, u, J_star,
+    solve_time, bound)``: the solution step t acts on, its input, the cost to
+    record and the candidate tail cost that cost may not exceed (None: not
+    monitored).  The true dynamics replay  x+ = A_true x + B_true u + w_t
+    exactly and the recorded net-additive residual is  x+ - A_bar x - B_bar u.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if realization.w_sequence.shape[0] < steps:
         raise ValueError("realization too short for %d steps" % steps)
-    ctl = controller if controller is not None else AdaptiveController(sys, cfg)
     A_true = realization.A_true(sys)
     B_true = realization.B_true(sys)
-    d, m = sys.d, sys.m
-    states = np.empty((steps + 1, d))
-    inputs = np.empty((steps, m))
-    w_tilde = np.empty((steps, d))
+    states = np.empty((steps + 1, sys.d))
+    inputs = np.empty((steps, sys.m))
+    w_tilde = np.empty((steps, sys.d))
     states[0] = x0
     trace = SimulationTrace(x0=x0, steps_requested=steps)
-    prev_sol: MPCSolution | None = None
-    prev_w: np.ndarray | None = None
-    x = x0
     for t in range(steps):
-        t0 = time.perf_counter()
-        sol = ctl.solve(x)
-        elapsed = time.perf_counter() - t0
+        sol, u, J_star, elapsed, bound = decide(t, states, inputs, w_tilde)
+        x = states[t]
         margin_x = _min_margin(sys.X, x)
         if not sol.is_feasible:
             if sol.status is SolveStatus.NUMERICAL_FAILURE:
@@ -111,35 +111,58 @@ def simulate_closed_loop(
             )
             break
         iss_gap = float("nan")
-        if prev_sol is not None:
-            bound_val = candidate_tail_cost(cfg, sys, prev_sol, prev_w)
-            iss_gap = bound_val - sol.J_star
-            if sol.J_star > bound_val + MARGIN_TOL * (1.0 + abs(sol.J_star)):
+        if bound is not None:
+            iss_gap = bound - J_star
+            if J_star > bound + MARGIN_TOL * (1.0 + abs(J_star)):
                 trace.iss_violations += 1
-        u = sol.applied_input
         margin_u = _min_margin(sys.U, u)
-        if margin_x < -margin_tol or margin_u < -margin_tol:
+        if margin_x < -MARGIN_TOL or margin_u < -MARGIN_TOL:
             trace.violations += 1
-        w_t = realization.w_sequence[t]
-        x_next = A_true @ x + B_true @ u + w_t
-        wt = x_next - sys.A_bar @ x - sys.B_bar @ u
+        x_next = A_true @ x + B_true @ u + realization.w_sequence[t]
         inputs[t] = u
-        w_tilde[t] = wt
+        w_tilde[t] = x_next - sys.A_bar @ x - sys.B_bar @ u
         states[t + 1] = x_next
         trace.records.append(
-            StepRecord(t, sol.N_star, sol.J_star, elapsed, margin_x, margin_u, iss_gap, True)
+            StepRecord(t, sol.N_star, J_star, elapsed, margin_x, margin_u, iss_gap, True)
         )
-        prev_sol, prev_w = sol, wt
-        x = x_next
         trace.completed = t + 1
     n = trace.completed
     trace.states = states[: n + 1]
     trace.inputs = inputs[:n]
     trace.w_tilde = w_tilde[:n]
     trace.final_margin_x = _min_margin(sys.X, trace.states[-1])
-    if trace.final_margin_x < -margin_tol:
+    if trace.final_margin_x < -MARGIN_TOL:
         trace.violations += 1
     return trace
+
+
+def simulate_closed_loop(
+    sys: UncertainSystem,
+    cfg: MPCConfig,
+    x0,
+    steps: int,
+    realization: UncertaintyRealization,
+    *,
+    controller: AdaptiveController | None = None,
+) -> SimulationTrace:
+    """Run the adaptive controller against one admissible realization.
+
+    Every step re-solves at the current state, and from the second step on
+    its cost is checked against the previous solution's candidate tail cost.
+    """
+    ctl = controller if controller is not None else AdaptiveController(sys, cfg)
+    prev: MPCSolution | None = None
+
+    def decide(t, states, inputs, w_tilde):
+        nonlocal prev
+        sol, elapsed = _timed_solve(ctl, states[t])
+        bound = None
+        if prev is not None and sol.is_feasible:
+            bound = candidate_tail_cost(cfg, sys, prev, w_tilde[t - 1])
+        prev = sol
+        return sol, sol.applied_input, sol.J_star, elapsed, bound
+
+    return _run(sys, x0, steps, realization, decide)
 
 
 def simulate_rollout(
@@ -150,64 +173,22 @@ def simulate_rollout(
     realization: UncertaintyRealization,
     *,
     controller: AdaptiveController | None = None,
-    margin_tol: float = MARGIN_TOL,
 ) -> SimulationTrace:
     """Run the time-0 plan open-loop (then terminal feedback), no re-solving."""
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
     ctl = controller if controller is not None else AdaptiveController(sys, cfg)
-    t0 = time.perf_counter()
-    sol0 = ctl.solve(x0)
-    elapsed0 = time.perf_counter() - t0
-    trace = SimulationTrace(x0=x0, steps_requested=steps)
-    if not sol0.is_feasible:
-        if sol0.status is SolveStatus.NUMERICAL_FAILURE:
-            trace.numerical_failure_at = 0
-        else:
-            trace.infeasible_at = 0
-        trace.records.append(
-            StepRecord(0, None, None, elapsed0, _min_margin(sys.X, x0), float("nan"), float("nan"), False)
-        )
-        trace.states = x0[None, :]
-        trace.inputs = np.zeros((0, sys.m))
-        trace.w_tilde = np.zeros((0, sys.d))
-        trace.final_margin_x = _min_margin(sys.X, x0)
-        return trace
-    A_true = realization.A_true(sys)
-    B_true = realization.B_true(sys)
-    states = [x0]
-    inputs = []
-    w_tilde = []
-    for t in range(steps):
-        u = rollout_policy(sys, sol0, cfg.terminal.K, states, inputs)
-        x = states[-1]
-        margin_x = _min_margin(sys.X, x)
-        margin_u = _min_margin(sys.U, u)
-        if margin_x < -margin_tol or margin_u < -margin_tol:
-            trace.violations += 1
-        x_next = A_true @ x + B_true @ u + realization.w_sequence[t]
-        w_tilde.append(x_next - sys.A_bar @ x - sys.B_bar @ u)
-        states.append(x_next)
-        inputs.append(u)
-        trace.records.append(
-            StepRecord(
-                t,
-                sol0.N_star,
-                sol0.J_star if t == 0 else None,
-                elapsed0 if t == 0 else 0.0,
-                margin_x,
-                margin_u,
-                float("nan"),
-                True,
-            )
-        )
-        trace.completed = t + 1
-    trace.states = np.asarray(states)
-    trace.inputs = np.asarray(inputs).reshape(-1, sys.m)
-    trace.w_tilde = np.asarray(w_tilde).reshape(-1, sys.d)
-    trace.final_margin_x = _min_margin(sys.X, trace.states[-1])
-    if trace.final_margin_x < -margin_tol:
-        trace.violations += 1
-    return trace
+    plan: MPCSolution | None = None
+
+    def decide(t, states, inputs, w_tilde):
+        nonlocal plan
+        elapsed = 0.0
+        if t == 0:
+            plan, elapsed = _timed_solve(ctl, states[0])
+            if not plan.is_feasible:
+                return plan, None, None, elapsed, None
+        u = rollout_policy(sys, plan, cfg.terminal.K, states[: t + 1], inputs[:t])
+        return plan, u, plan.J_star if t == 0 else None, elapsed, None
+
+    return _run(sys, x0, steps, realization, decide)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,26 @@ def test_terminal_set_json_bytes_pinned(tmp_path, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "command, x0, digest",
+    [
+        ("simulate", "6,-6", "26b8c37be125b79c7fe299922a92942326ae02979a726b3942555a34bac83852"),
+        ("rollout", "5,-5", "2f943e5473e34956bf9ebbae5990e9f4989c8ad54608d548a377795c27a816b7"),
+    ],
+)
+def test_trace_csv_bytes_pinned(command, x0, digest, tmp_path, monkeypatch):
+    # default-problem traces, byte for byte; only the checkout-dependent
+    # problem path is masked
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    out = tmp_path / "trace.csv"
+    argv = [command, "--problem", "default", "--x0", x0, "--steps", "50", "--seed", "0"]
+    assert main(argv + ["--out", str(out)]) == 0
+    path = json.dumps(str(default_problem_path())).encode()
+    data = out.read_bytes()
+    assert data.count(path) == 1
+    assert hashlib.sha256(data.replace(path, b'"<problem>"')).hexdigest() == digest
+
+
 def test_simulate_deterministic_bytes(scalar_file, tmp_path):
     o1, o2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["simulate", "--problem", str(scalar_file), "--x0", "0.5", "--steps", "10", "--seed", "3"]

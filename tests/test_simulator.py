@@ -1,4 +1,6 @@
 """Simulation traces, ROA estimation, and benchmark reports."""
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from rampc.simulator import (
     simulate_closed_loop,
     simulate_rollout,
 )
-from rampc.system import load_problem_dict, sample_realization
+from rampc.system import default_problem_path, load_problem_dict, sample_realization
 
 from conftest import scalar_problem_dict
 
@@ -34,14 +36,16 @@ def test_origin_stays_at_origin(quiet_scalar):
     np.testing.assert_allclose(tr.inputs, 0.0, atol=1e-7)
 
 
-def test_infeasible_x0_flagged_not_raised(default_problem, default_cfg, default_controller):
+@pytest.mark.parametrize("run", [simulate_closed_loop, simulate_rollout])
+def test_infeasible_x0_flagged_not_raised(run, default_problem, default_cfg, default_controller):
+    # (50, 50) lies outside X: both runs flag step 0 and count the final state
     real = sample_realization(default_problem.system, 5, seed=1)
-    tr = simulate_closed_loop(
-        default_problem.system, default_cfg, [50.0, 50.0], 5, real, controller=default_controller
-    )
+    tr = run(default_problem.system, default_cfg, [50.0, 50.0], 5, real, controller=default_controller)
     assert tr.infeasible_at == 0
     assert tr.completed == 0
     assert not tr.clean
+    assert tr.violations == 1
+    assert tr.states.shape == (1, 2) and tr.inputs.shape == (0, 1) and tr.w_tilde.shape == (0, 2)
 
 
 def test_replay_is_bitwise(default_problem, default_cfg, default_controller):
@@ -92,6 +96,43 @@ def test_rollout_safe_and_reconstructs(default_problem, default_cfg, default_con
     assert tr.infeasible_at is None
     assert tr.violations == 0
     assert tr.completed == 20
+
+
+class _CountingController:
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def solve(self, x):
+        self.calls += 1
+        return self.inner.solve(x)
+
+
+@pytest.mark.parametrize("run", [simulate_closed_loop, simulate_rollout])
+def test_short_realization_raises_before_any_solve(run, default_problem, default_cfg, default_controller):
+    real = sample_realization(default_problem.system, 3, seed=0)
+    ctl = _CountingController(default_controller)
+    with pytest.raises(ValueError, match="too short"):
+        run(default_problem.system, default_cfg, [5.0, -5.0], 4, real, controller=ctl)
+    assert ctl.calls == 0
+
+
+def test_csv_header_of_infeasible_multi_input_run():
+    # the default problem with a second input that does not act on the state
+    data = json.loads(default_problem_path().read_text())
+    data["B_bar"] = [[0.1, 0.0], [1.1, 0.0]]
+    data["deltaB_vertices"] = [[[0.06, 0.0], [0.06, 0.0]], [[-0.06, 0.0], [-0.06, 0.0]]]
+    data["U"] = {"box": {"lo": [-4.0, -4.0], "hi": [4.0, 4.0]}}
+    data["cost"]["R"] = [[2.0, 0.0], [0.0, 1.0]]
+    data["K"] = [[-0.4866, -0.4374], [0.0, 0.0]]
+    prob = load_problem_dict(data)
+    cfg = config_from_problem(prob, hull_samples=10)
+    real = sample_realization(prob.system, 3, seed=0)
+    feasible = simulate_closed_loop(prob.system, cfg, [6.0, -6.0], 3, real)
+    infeasible = simulate_closed_loop(prob.system, cfg, [50.0, 50.0], 3, real)
+    assert feasible.completed == 3 and infeasible.infeasible_at == 0
+    header = trace_csv_text(feasible, None).splitlines()[0]
+    assert header.startswith("t,x0,x1,u0,u1,wt0,wt1,")
+    assert trace_csv_text(infeasible, None).splitlines()[0] == header
 
 
 def test_roa_all_feasible_when_quiet(quiet_scalar):
