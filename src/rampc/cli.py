@@ -117,14 +117,11 @@ def cmd_terminal_set(args):
     manifest = make_manifest(
         "terminal-set", path, None, prob.source, _flags_dict(args, [])
     )
-    A_cl = prob.system.A_bar + prob.system.B_bar @ term.K
-    S = cfg.P + term.K.T @ cfg.R @ term.K
-    resid = float(np.linalg.eigvalsh(-term.P_N + S + A_cl.T @ term.P_N @ A_cl).max())
     payload = {
         "terminal_set": term.X_N.to_dict(),
         "terminal_cost": term.P_N.tolist(),
         "feedback_gain": term.K.tolist(),
-        "descent_residual": resid,
+        "descent_residual": term.descent_residual,
         "screening": {
             "vertex_spectral_radii": list(term.vertex_spectral_radii),
             "hull_samples": term.hull_screen_samples,
@@ -150,7 +147,7 @@ def cmd_terminal_set(args):
             manifest=manifest,
         )
         write_svg(args.svg, svg)
-    print("terminal set: %d facets; descent residual %.2e" % (term.X_N.n_rows, resid))
+    print("terminal set: %d facets; descent residual %.2e" % (term.X_N.n_rows, term.descent_residual))
     return EXIT_OK
 
 

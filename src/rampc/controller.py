@@ -80,6 +80,8 @@ class TerminalComponents:
     vertex_spectral_radii: tuple = ()
     hull_screen_max_radius: float = float("nan")
     hull_screen_samples: int = 0
+    # max eigenvalue of -P_N + S + A_cl' P_N A_cl, checked against _EQ19_TOL
+    descent_residual: float = float("nan")
 
 
 def spectral_radius(A):
@@ -153,7 +155,7 @@ def synthesize_terminal(sys: UncertainSystem, K, P, R, *, hull_samples=1000) -> 
     A_cl = sys.A_bar + sys.B_bar @ K
     S = P + K.T @ R @ K
     P_N = lyapunov_series(A_cl, S)
-    resid = np.linalg.eigvalsh(-P_N + S + A_cl.T @ P_N @ A_cl).max()
+    resid = float(np.linalg.eigvalsh(-P_N + S + A_cl.T @ P_N @ A_cl).max())
     if resid > _EQ19_TOL:
         raise LyapunovDivergenceError(
             "terminal-cost descent residual %.2e exceeds %.0e" % (resid, _EQ19_TOL)
@@ -166,6 +168,7 @@ def synthesize_terminal(sys: UncertainSystem, K, P, R, *, hull_samples=1000) -> 
         vertex_spectral_radii=tuple(radii),
         hull_screen_max_radius=hull_max,
         hull_screen_samples=hull_samples,
+        descent_residual=resid,
     )
 
 
@@ -343,9 +346,7 @@ class CaseNTemplate:
                 a_col = aux_base + t
                 rp, rm = r, r + 1
                 for k in range(l + 1, N):
-                    mi = self._m_index.get((k, l))
-                    if mi is None:
-                        continue
+                    mi = self._m_index[(k, l)]
                     for i2 in range(m):
                         coeff = phi[k * m + i2]
                         if coeff != 0.0:

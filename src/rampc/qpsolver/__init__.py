@@ -14,7 +14,9 @@ the KKT contract: primal feasibility G x - h <= 1e-8 (absolute), y >= 0
 and stationarity |Q x + q + G'y| <= 1e-8 * max(1, |q|), in the max norm.
 It returns the first iterate that passes as OPTIMAL; an iterate whose
 residuals reach 1e-10 and still fails is NUMERICAL_FAILURE.  INFEASIBLE is
-reported only with a Farkas certificate from an exact LP probe.
+reported only with a Farkas certificate from an exact LP probe, asked at
+most once per solve.  Those are a QP solve's three exits: UNBOUNDED is an
+LP-layer status only, since every QP the package poses is bounded below.
 """
 from .admm import ParametricQP, active_kernel
 from .lp import farkas_certificate, feasible_point, solve_lp, verify_farkas

@@ -28,7 +28,11 @@ The residuals only decide when to give up: an iterate whose residuals reach
 1e-10 and that still fails the contract is NUMERICAL_FAILURE, never a
 result that misses it.  An INFEASIBLE verdict is never emitted on ADMM
 evidence alone: it is confirmed by an exact LP feasibility probe and
-carries a verified Farkas certificate.
+carries a verified Farkas certificate.  The probe runs at most once per
+solve, on the first ADMM infeasibility signal or at the iteration cap; it
+depends only on (G, h), so a second one could only repeat the first.
+There is no unboundedness test: every QP the package poses has a PSD Q and
+a q in its range, so it is bounded below.
 """
 from __future__ import annotations
 
@@ -49,7 +53,7 @@ _RHO = 0.1  # initial step size
 # residual level (absolute and relative) at which an iterate that still
 # fails the KKT contract is a numerical failure
 _GIVE_UP = 1e-10
-_EPS_INF = 1e-4  # first threshold of both infeasibility signals
+_EPS_INF = 1e-4  # threshold of the primal infeasibility signal
 _MAX_ITER = 50_000
 # iterations between checks of the iterate; at every second check (every
 # 2 * _CHECK_EVERY iterations) the step size adapts to _RHO times a factor
@@ -101,10 +105,9 @@ def _admm_batch(lu, A, At, q, up, rho, rho_inv, x, z, y, n_iter):
 
     Solves min 1/2 x'Px + q'x s.t. Ax <= up, given the factor ``lu`` of
     P + sigma*I + A' diag(rho) A and A, A' in CSR form.  Returns the new
-    iterates and the last-iteration increments (x, z, y, dx, dy); the caller
-    uses the increments for infeasibility detection.
+    iterates and the last-iteration dual increment (x, z, y, dy); the
+    caller uses the increment for infeasibility detection.
     """
-    dx = np.zeros_like(x)
     dy = np.zeros_like(y)
     for _ in range(n_iter):
         rhs = _SIGMA * x - q + At @ (rho * z - y)
@@ -114,10 +117,9 @@ def _admm_batch(lu, A, At, q, up, rho, rho_inv, x, z, y, n_iter):
         ztmp = _ALPHA * zt + (1.0 - _ALPHA) * z + rho_inv * y
         z_new = np.minimum(ztmp, up)
         y_new = rho * (ztmp - z_new)
-        np.subtract(x_new, x, out=dx)
         np.subtract(y_new, y, out=dy)
         x, z, y = x_new, z_new, y_new
-    return x, z, y, dx, dy
+    return x, z, y, dy
 
 
 def _quantize_rho(rho):
@@ -129,7 +131,11 @@ class ParametricQP:
     """Prepared solver for fixed (Q, G), G of at least one row, and varying (q, h).
 
     Q is taken as symmetric positive semidefinite without an eigenvalue
-    check; only the shapes are validated.
+    check; only the shapes are validated.  A solve ends in one of three
+    statuses: OPTIMAL at the 1e-8 KKT contract, INFEASIBLE with a
+    HiGHS-verified Farkas certificate, or NUMERICAL_FAILURE.  A QP that is
+    unbounded below, which the package never poses, runs to the iteration
+    cap and ends NUMERICAL_FAILURE.
     """
 
     def __init__(self, Q, G_ineq):
@@ -205,29 +211,18 @@ class ParametricQP:
         )
         return r_p, r_d, scale_p, scale_d
 
-    # -- infeasibility signals ----------------------------------------------
-    def _primal_inf_signal(self, dyu, up, eps):
+    # -- infeasibility signal ------------------------------------------------
+    def _primal_inf_signal(self, dyu, up):
         nrm = float(np.max(np.abs(dyu), initial=0.0))
         if nrm <= 1e-14:
             return False
-        if float(np.max(np.abs(self.At @ dyu))) > eps * nrm:
+        if float(np.max(np.abs(self.At @ dyu))) > _EPS_INF * nrm:
             return False
         # every row is unbounded below, so a certificate direction is >= 0
-        if np.any(dyu < -eps * nrm):
+        if np.any(dyu < -_EPS_INF * nrm):
             return False
         fin = np.isfinite(up)
-        return float(up[fin] @ np.maximum(dyu, 0.0)[fin]) < -eps * nrm
-
-    def _dual_inf_signal(self, dxu, q, up, eps):
-        nrm = float(np.max(np.abs(dxu), initial=0.0))
-        if nrm <= 1e-14:
-            return False
-        if float(np.max(np.abs(self.Q @ dxu))) > eps * nrm:
-            return False
-        if float(q @ dxu) > -eps * nrm:
-            return False
-        Adx = self.A @ dxu
-        return not np.any(Adx[np.isfinite(up)] > eps * nrm)
+        return float(up[fin] @ np.maximum(dyu, 0.0)[fin]) < -_EPS_INF * nrm
 
     def _kkt_ok(self, primal, y, stationarity, q):
         """The contract of every OPTIMAL result: G x - h <= 1e-8, y >= 0 and
@@ -264,16 +259,14 @@ class ParametricQP:
         z = np.zeros(self.m)
         y = np.zeros(self.m)
         iters = 0
-        eps_pinf = eps_dinf = _EPS_INF
-        false_alarms = 0
         rho_updates = 0
+        probed = False  # the probe depends only on (G, h), so one answers for the solve
 
-        def finish(status, diagnostics=(), **kw):
+        def finish(status, **kw):
             diag = {
                 "factorizations": len(self._factor_cache) - n_factors,
                 "rho_updates": rho_updates,
             }
-            diag.update(diagnostics)
             out = SolveOutcome(
                 status=status, backend=KERNEL, iterations=iters, diagnostics=diag, **kw
             )
@@ -281,7 +274,7 @@ class ParametricQP:
             return out
 
         while iters < _MAX_ITER:
-            x, z, y, dx, dy = _admm_batch(
+            x, z, y, dy = _admm_batch(
                 lu, self.A_s, self.At_s, q_s, h_s, rho, rho_inv, x, z, y, _CHECK_EVERY
             )
             iters += _CHECK_EVERY
@@ -297,22 +290,16 @@ class ParametricQP:
             eps_d = _GIVE_UP + _GIVE_UP * scale_d
             if r_p <= eps_p and r_d <= eps_d:
                 return finish(SolveStatus.NUMERICAL_FAILURE)
-            # infeasibility detection (confirmed exactly before reporting)
-            dxu = self.d * dx
-            dyu = self.e * dy / self.c
-            if self._primal_inf_signal(dyu, h, eps_pinf):
+            # infeasibility is settled exactly, by the HiGHS probe, when ADMM
+            # signals it or at the iteration cap
+            if not probed and (
+                iters >= _MAX_ITER or self._primal_inf_signal(self.e * dy / self.c, h)
+            ):
+                probed = True
                 feas, cert = feasible_point(self.G, h)
                 if feas is False and cert is not None:
                     return finish(SolveStatus.INFEASIBLE, farkas=cert)
-                false_alarms += 1
-                eps_pinf *= 1e-2
-                if false_alarms > 2:
-                    eps_pinf = 0.0  # stop checking; rely on convergence
-            if self._dual_inf_signal(dxu, q, h, eps_dinf):
-                return finish(
-                    SolveStatus.UNBOUNDED, diagnostics={"ray": dxu / max(np.max(np.abs(dxu)), 1e-30)}
-                )
-            if iters % (2 * _CHECK_EVERY) == 0 and r_d > 0:
+            if iters % (2 * _CHECK_EVERY) == 0 and r_p > 0 and r_d > 0:
                 ratio = (r_p / eps_p) / (r_d / eps_d)
                 new_scale = _quantize_rho(rho_scale * float(np.sqrt(ratio)))
                 new_scale = min(max(new_scale, 1e-4), 1e4)
@@ -320,8 +307,4 @@ class ParametricQP:
                     rho_scale = new_scale
                     rho_updates += 1
                     lu, rho, rho_inv = self._factor(rho_scale)
-        # iteration cap: settle feasibility exactly, then give up honestly
-        feas, cert = feasible_point(self.G, h)
-        if feas is False and cert is not None:
-            return finish(SolveStatus.INFEASIBLE, farkas=cert)
         return finish(SolveStatus.NUMERICAL_FAILURE)

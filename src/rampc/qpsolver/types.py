@@ -21,6 +21,8 @@ class SolveStatus(enum.Enum):
 class SolveOutcome:
     """Result of one LP/QP solve.
 
+    A QP solve (``ParametricQP``) ends OPTIMAL, INFEASIBLE or
+    NUMERICAL_FAILURE; UNBOUNDED is a status of the LP layer only.
     When status is OPTIMAL, ``objective`` equals 1/2 x'Qx + q'x (c'x for
     LPs) evaluated at ``x_opt``, and a QP result meets the KKT contract
     with its multipliers ``y_ineq``, all in the max norm: primal
@@ -46,8 +48,7 @@ class SolveOutcome:
     (``perfbench/tracing.py``) reads it.  Every ADMM solve (and every
     "facets" or "central" outcome, with zeros) fills ``diagnostics`` with
     ``factorizations`` (factor-cache misses during this solve) and
-    ``rho_updates`` (step-size changes during this solve); an UNBOUNDED
-    result adds the normalized ``ray``.
+    ``rho_updates`` (step-size changes during this solve).
     """
 
     status: SolveStatus

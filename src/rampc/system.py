@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ProblemFormatError, UnboundedConstraintSetError
-from .geometry import Polytope, support
+from .geometry import Polytope
 from .qpsolver import solve_lp
 
 
@@ -95,21 +95,14 @@ class UncertainSystem:
 
 def _check_compact_origin_interior(P, name):
     """Assumption check: compact with the origin in the interior."""
-    d = P.dim
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = 1.0
-        for sgn in (1.0, -1.0):
-            try:
-                val = support(P, sgn * e)
-            except Exception as exc:
-                raise UnboundedConstraintSetError(
-                    "%s is unbounded in coordinate %d" % (name, j)
-                ) from exc
-            if not np.isfinite(val):
-                raise UnboundedConstraintSetError("%s is unbounded in coordinate %d" % (name, j))
-            if val <= 0:
-                raise ValueError("%s does not contain the origin in its interior" % name)
+    try:
+        lo, hi = P.bounding_box()
+    except Exception as exc:
+        raise UnboundedConstraintSetError("%s is unbounded" % name) from exc
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise UnboundedConstraintSetError("%s is unbounded" % name)
+    if np.any(hi <= 0) or np.any(lo >= 0):
+        raise ValueError("%s does not contain the origin in its interior" % name)
 
 
 @dataclass(frozen=True)
@@ -133,13 +126,8 @@ class NetAdditiveBound:
 
 
 def _inf_radius(P):
-    vals = []
-    for j in range(P.dim):
-        e = np.zeros(P.dim)
-        e[j] = 1.0
-        vals.append(support(P, e))
-        vals.append(support(P, -e))
-    return float(max(vals))
+    lo, hi = P.bounding_box()
+    return float(max(hi.max(), -lo.min()))
 
 
 def net_additive_bound(sys: UncertainSystem) -> NetAdditiveBound:

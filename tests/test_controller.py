@@ -69,6 +69,7 @@ class TestSynthesizeTerminal:
         S = default_cfg.P + term.K.T @ default_cfg.R @ term.K
         resid = np.linalg.eigvalsh(-term.P_N + S + A_cl.T @ term.P_N @ A_cl).max()
         assert resid <= 1e-8
+        assert term.descent_residual == resid  # synthesis stores the value it checked
 
     def test_default_terminal_sets_pinned(self, default_problem, default_cfg):
         # sha256 over the float64 bytes of H, then h, of the default adaptive

@@ -1,9 +1,11 @@
 """Contract tests for the LP/QP layer."""
+import warnings
+
 import numpy as np
 import pytest
 
 from rampc.baseline import BaselineController, make_baseline_config
-from rampc.qpsolver import ParametricQP, SolveStatus, admm, solve_lp, verify_farkas
+from rampc.qpsolver import ParametricQP, SolveStatus, admm, lp, solve_lp, verify_farkas
 
 
 def _solve(Q, q, G, h):
@@ -79,9 +81,31 @@ def test_degenerate_cost_block():
     assert abs(out.x_opt[0] - 1.0) < 1e-7  # unconstrained minimum of (x0-1)^2
 
 
-def test_unbounded_qp_detected():
-    out = _solve([[0.0]], [-1.0], [[-1.0]], [0.0])
-    assert out.status is SolveStatus.UNBOUNDED
+def test_unbounded_qp_ends_in_numerical_failure(monkeypatch):
+    # no QP the package poses is unbounded below (see the test that follows),
+    # so an unbounded one runs to the cap: the probe finds it feasible, and
+    # the step-size rule at a zero primal residual raises no warning
+    monkeypatch.setattr(admm, "_MAX_ITER", 500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _solve([[0.0]], [-1.0], [[-1.0]], [0.0])
+    assert out.status is SolveStatus.NUMERICAL_FAILURE
+    assert out.iterations == 500 and out.x_opt is None
+
+
+def test_every_template_qp_is_bounded_below(default_problem, default_controller, baseline_controller):
+    # 1/2 z'Qz + q'z with Q PSD and q in the range of Q is bounded below on
+    # all of R^n, so no horizon QP of either bank can be unbounded
+    lo, hi = default_problem.system.X.bounding_box()
+    states = np.random.default_rng(17).uniform(lo, hi, size=(20, 2))
+    templates = [*default_controller.templates.values(), baseline_controller.template]
+    for tpl in templates:
+        eig = np.linalg.eigvalsh(tpl.Q)
+        assert eig.min() >= -1e-12 * eig.max(), (tpl.horizon, eig.min())
+        for x in states:
+            q, _ = tpl.parts(x)
+            z = np.linalg.lstsq(tpl.Q, q, rcond=None)[0]
+            assert np.max(np.abs(tpl.Q @ z - q)) <= 1e-10 * max(1.0, np.max(np.abs(q))), (tpl.horizon, x)
 
 
 def test_determinism_bitwise():
@@ -234,6 +258,30 @@ def test_hard_state_adapts_step_size_reproducibly(default_problem, default_contr
     assert again.diagnostics["rho_updates"] == first.diagnostics["rho_updates"]
     assert np.array_equal(first.x_opt, again.x_opt) and np.array_equal(first.y_ineq, again.y_ineq)
     assert first.objective == again.objective
+
+
+def test_false_alarms_share_one_feasibility_probe(monkeypatch, default_problem, default_controller):
+    # the probe depends only on (G, h): with the ADMM signal forced at every
+    # check, a feasible solve asks HiGHS once and returns the same result
+    lo, hi = default_problem.system.X.bounding_box()
+    axis = np.linspace(lo[0], hi[0], 10)
+    tpl = default_controller.templates[5]
+    solver = ParametricQP(tpl.Q, tpl.G)
+    q, h = tpl.parts(np.array([axis[2], axis[1]]))
+    plain = solver.solve(q, h)
+    probes = []
+
+    def probe(G, h_):
+        probes.append(h_)
+        return lp.feasible_point(G, h_)
+
+    monkeypatch.setattr(admm, "feasible_point", probe)
+    monkeypatch.setattr(ParametricQP, "_primal_inf_signal", lambda self, dyu, up: True)
+    alarmed = solver.solve(q, h)
+    assert len(probes) == 1
+    assert alarmed.is_optimal and alarmed.iterations == plain.iterations > admm._CHECK_EVERY
+    assert np.array_equal(alarmed.x_opt, plain.x_opt) and np.array_equal(alarmed.y_ineq, plain.y_ineq)
+    assert alarmed.objective == plain.objective
 
 
 def test_shape_validation_rejects_mismatch():

@@ -54,6 +54,14 @@ class TestNetAdditiveBound:
         assert b.u_max == pytest.approx(4.0)
         assert b.w_tilde_max == pytest.approx(0.1 * 8 + 0.1 * 4 + 0.1)
 
+    def test_radius_of_asymmetric_polytope(self):
+        # a general H-polytope whose largest coordinate magnitude is a lower bound
+        X = Polytope(
+            [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]], [2.0, 5.0, 3.0, 1.0, 4.0]
+        )
+        sys = _system([np.zeros((2, 2))], [np.zeros((2, 1))], _box(0.1, 2), X, _box(4, 1))
+        assert net_additive_bound(sys).x_max == 5.0
+
     def test_scaling_w_only_scales_w_max(self):
         mk = lambda wr: _system(
             [0.1 * np.eye(2)], [np.zeros((2, 1))], _box(wr, 2), _box(8, 2), _box(4, 1)
