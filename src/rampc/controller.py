@@ -110,10 +110,13 @@ def synthesize_terminal(sys: UncertainSystem, K, P, R, *, hull_samples=1000) -> 
 
     The vertex screen is exact; hull-interior stability is only sampled
     (certifying it needs machinery that is out of scope here), so failures
-    of either screen raise loudly.  The set's invariance is then rechecked
-    by support LPs (one block per facet and vertex closed loop, solved as
-    one LP), not from the vertex cache that synthesis used, so the terminal
-    set carries an LP certificate.
+    of either screen raise loudly.  The hull screen draws ``hull_samples``
+    closed loops at once (``_sampled_hull_radii``), raises with the radius of
+    the first one in draw order at or above 1, and otherwise records the
+    largest radius (0 when nothing is drawn).  The set's invariance is then
+    rechecked by support LPs (one block per facet and vertex closed loop,
+    solved as one LP), not from the vertex cache that synthesis used, so the
+    terminal set carries an LP certificate.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     P = np.atleast_2d(np.asarray(P, dtype=float))
@@ -130,20 +133,13 @@ def synthesize_terminal(sys: UncertainSystem, K, P, R, *, hull_samples=1000) -> 
                 "spectral radius %.6f" % (j, k, rho),
                 vertex_pair=(j, k),
             )
-    rng = np.random.default_rng(0)  # a fixed draw: the screen is reproducible
-    hull_max = 0.0
-    for _ in range(hull_samples):
-        wA = rng.dirichlet(np.ones(sys.n_a))
-        wB = rng.dirichlet(np.ones(sys.n_b))
-        dA = sum(w * V for w, V in zip(wA, sys.deltaA_vertices))
-        dB = sum(w * V for w, V in zip(wB, sys.deltaB_vertices))
-        rho = spectral_radius((sys.A_bar + dA) + (sys.B_bar + dB) @ K)
-        hull_max = max(hull_max, rho)
-        if rho >= 1.0:
-            raise VertexUnstableError(
-                "closed loop unstable at a sampled hull point (spectral radius %.6f); "
-                "vertex stability does not certify the hull" % rho
-            )
+    hull_radii = _sampled_hull_radii(sys, K, hull_samples)
+    unstable = np.flatnonzero(hull_radii >= 1.0)
+    if unstable.size:
+        raise VertexUnstableError(
+            "closed loop unstable at a sampled hull point (spectral radius %.6f); "
+            "vertex stability does not certify the hull" % float(hull_radii[unstable[0]])
+        )
     constraint = Polytope(
         np.vstack([sys.X.H, sys.U.H @ K]), np.concatenate([sys.X.h, sys.U.h])
     )
@@ -166,10 +162,39 @@ def synthesize_terminal(sys: UncertainSystem, K, P, R, *, hull_samples=1000) -> 
         X_N=X_N,
         P_N=P_N,
         vertex_spectral_radii=tuple(radii),
-        hull_screen_max_radius=hull_max,
+        hull_screen_max_radius=float(hull_radii.max(initial=0.0)),
         hull_screen_samples=hull_samples,
         descent_residual=resid,
     )
+
+
+def _sampled_hull_radii(sys, K, samples):
+    """Spectral radii of ``samples`` closed loops drawn uniformly from the
+    uncertainty hulls, in draw order.
+
+    Sample i weights the A vertices, then the B vertices, by Dirichlet(1, ...,
+    1) draws from ``default_rng(0)``.  Such a draw is a block of unit
+    exponentials times the reciprocal of its sequential sum, so one
+    (samples, n_a + n_b) draw of exponentials reproduces a loop of
+    ``rng.dirichlet`` calls bitwise.  The weighted vertex sums run in vertex
+    order, and the radii come from one stacked ``eigvals``.
+    """
+    if samples <= 0:
+        return np.zeros(0)
+    E = np.random.default_rng(0).standard_exponential((samples, sys.n_a + sys.n_b))
+    blocks = ((E[:, : sys.n_a], sys.deltaA_vertices), (E[:, sys.n_a :], sys.deltaB_vertices))
+    deltas = []
+    for block, vertices in blocks:
+        total = 0.0
+        for col in block.T:
+            total = total + col
+        weights = block * (1.0 / total)[:, None]
+        delta = 0.0
+        for w, V in zip(weights.T, vertices):
+            delta = delta + w[:, None, None] * V
+        deltas.append(delta)
+    dA, dB = deltas
+    return np.abs(np.linalg.eigvals((sys.A_bar + dA) + (sys.B_bar + dB) @ K)).max(axis=1)
 
 
 def _recheck_invariance(X_N, cl_vertices, W):
@@ -254,10 +279,13 @@ class Case1Template:
         self.horizon = 1
         self.d, self.m = d, m
 
+    def q(self, x):
+        """The QP's linear cost q(x)."""
+        return self._q_map @ x
+
     def parts(self, x):
-        q = self._q_map @ x
-        h = self._h_base - self._rhs_map @ x
-        return q, h
+        """(q(x), h(x)) of the QP at x."""
+        return self.q(x), self._h_base - self._rhs_map @ x
 
     def constant(self, x):
         return float(x @ self._const_map @ x)
@@ -378,11 +406,15 @@ class CaseNTemplate:
         self._q_map = 2.0 * sd.C.T @ P_bar @ sd.A_stack
         self._const_map = P + sd.A_stack.T @ P_bar @ sd.A_stack
 
-    def parts(self, x):
+    def q(self, x):
+        """The QP's linear cost q(x), nonzero in the nominal inputs only."""
         q = np.zeros(self.n_vars)
         q[: self.n_u] = self._q_map @ x
-        h = self._h_base - self._rhs_map @ x
-        return q, h
+        return q
+
+    def parts(self, x):
+        """(q(x), h(x)) of the QP at x."""
+        return self.q(x), self._h_base - self._rhs_map @ x
 
     def constant(self, x):
         return float(x @ self._const_map @ x)
@@ -663,8 +695,8 @@ class AdaptiveController:
                 continue
             out = self._facet_verdict(n, x)
             if out is None:
-                q, h = tpl.parts(x)
-                out = self._central_verdict(n, x, q) or self.solvers[n].solve(q, h)
+                # h(x) is formed only for ADMM: the central verdict reads q alone
+                out = self._central_verdict(n, x, tpl.q(x)) or self.solvers[n].solve(*tpl.parts(x))
                 if out.status is SolveStatus.INFEASIBLE and n not in self.feasible_sets:
                     self.feasible_sets[n] = projection_cuts(tpl.G, tpl._rhs_map, tpl._h_base)
                     out = self._facet_verdict(n, x) or out

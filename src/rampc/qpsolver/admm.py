@@ -9,18 +9,29 @@ vector z clipped from above at h.  A ``ParametricQP`` is prepared once for
 fixed (Q, G) and solved repeatedly for varying (q, h): the Ruiz
 equilibration, the sparse (CSR) constraint matrices and the sparse factor of
 the x-update matrix P + sigma*I + rho G'G are computed at preparation time
-and reused, which is what makes receding-horizon use cheap.  The factor is a
-SuperLU factorization in a fill-reducing symmetric order without pivoting,
-which is exact for this symmetric positive definite matrix; one is kept per
-step size the loop has visited.  Each ``solve`` is a pure function of its
-arguments (iterates and step-size adaptation always restart from the same
-state), so repeated solves are bitwise reproducible.  The ADMM constants are
-fixed module constants; nothing about the iteration is configurable.
+and reused, which is what makes receding-horizon use cheap.  Preparation
+scans the dense Q and G once, into CSR; the Ruiz passes run on those
+nonzeros, and the equilibrated matrices keep the same structure with their
+values scaled in the operation order of the dense products, so every
+prepared matrix is bitwise what scaling dense copies would give.  The
+factor is a SuperLU factorization in a fill-reducing symmetric order
+without pivoting, which is exact for this symmetric positive definite
+matrix; one is kept per step size the loop has visited.  Each ``solve`` is
+a pure function of its arguments (iterates and step-size adaptation always
+restart from the same state), so repeated solves are bitwise reproducible.
+The ADMM constants are fixed module constants; nothing about the iteration
+is configurable.
 
 Stopping rule: the ADMM loop checks its iterate every ``_CHECK_EVERY``
 iterations and, at every second check, adapts the step size from the ratio
 of the primal to the dual residual (Boyd et al. 2011, sec. 3.4.1; Stellato
-et al. 2020).  Every check verifies the unscaled iterate, duals clipped at
+et al. 2020).  The rule never switches back to the scale it just left, so
+a solve cannot flip between two scales, which near the boundary of a
+feasible set discarded each scale's progress until the iteration cap.  It
+makes at most one update per adaptation check, so at most
+``_MAX_ITER / (2 * _CHECK_EVERY)`` (1000) per solve; it does not rule out a
+cycle through three or more scales, and it does not by itself make ADMM
+converge.  Every check verifies the unscaled iterate, duals clipped at
 zero, against the KKT contract of ``_kkt_ok`` and returns it as OPTIMAL at
 the first check that passes.  A check forms the CSR products G x and Q x
 once; the contract, the ADMM residuals and the objective all reuse them.
@@ -57,8 +68,8 @@ _EPS_INF = 1e-4  # threshold of the primal infeasibility signal
 _MAX_ITER = 50_000
 # iterations between checks of the iterate; at every second check (every
 # 2 * _CHECK_EVERY iterations) the step size adapts to _RHO times a factor
-# within [1e-4, 1e4], in half-decade steps and only when the new factor
-# differs by more than 5x
+# within [1e-4, 1e4], in half-decade steps, only when the new factor
+# differs by more than 5x and never back to the factor the last update left
 _CHECK_EVERY = 25
 _RUIZ_ITERS = 10
 _KKT_TOL = 1e-8  # the contract every OPTIMAL result meets
@@ -69,32 +80,59 @@ def active_kernel():
     return KERNEL
 
 
+def _entry_index(M):
+    """(major, minor) index of every stored entry of a CSR or CSC matrix:
+    (row, column) for CSR, (column, row) for CSC."""
+    major = np.repeat(np.arange(len(M.indptr) - 1), np.diff(M.indptr))
+    return major, M.indices
+
+
+def _with_data(M, data):
+    """A copy of M's structure holding ``data``."""
+    out = M.copy()
+    out.data = data
+    return out
+
+
+def _max_at(index, vals, size):
+    """Largest of ``vals`` at each of ``size`` indices, 0 where none falls."""
+    out = np.zeros(size)
+    np.maximum.at(out, index, vals)
+    return out
+
+
 def _ruiz_equilibrate(P, A, iters):
     """Modified Ruiz equilibration of the KKT matrix [[P, A'], [A, 0]].
 
-    Returns (d, e, c): column scaling of the variables, row scaling of the
-    constraints, and a scalar cost scaling.
+    Works on the stored entries of P and A (CSR) alone.  Each pass takes the
+    column maxima of |P| and |A| and the row maxima of |A|, then scales
+    every entry as (p d_i) d_j and (a e_i) d_j, the operation order of the
+    dense update ``A * e[:, None] * d[None, :]``.  A maximum is exact in any
+    order, and an empty row or column has maximum 0, as its dense zeros
+    would, so the result is bitwise that of the same passes on dense
+    copies.  Returns (d, e, c): column scaling of the variables, row scaling
+    of the constraints, and a scalar cost scaling.
     """
     n = P.shape[0]
     m = A.shape[0]
     d = np.ones(n)
     e = np.ones(m)
-    Pb = P.copy()
-    Ab = A.copy()
+    # |s x| = s |x| exactly for s > 0, so the passes run on magnitudes
+    p_val = np.abs(P.data)
+    p_row, p_col = _entry_index(P)
+    a_val = np.abs(A.data)
+    a_row, a_col = _entry_index(A)
     for _ in range(iters):
-        col_p = np.abs(Pb).max(axis=0)
-        col_a = np.abs(Ab).max(axis=0)
-        dn = np.sqrt(np.maximum(np.maximum(col_p, col_a), 1e-12))
-        row_a = np.abs(Ab).max(axis=1)
-        en = np.sqrt(np.maximum(row_a, 1e-12))
+        col = np.maximum(_max_at(p_col, p_val, n), _max_at(a_col, a_val, n))
+        dn = np.sqrt(np.maximum(col, 1e-12))
+        en = np.sqrt(np.maximum(_max_at(a_row, a_val, m), 1e-12))
         dd = 1.0 / dn
         ee = 1.0 / en
-        Pb = Pb * dd[:, None] * dd[None, :]
-        Ab = Ab * ee[:, None] * dd[None, :]
+        p_val = p_val * dd[p_row] * dd[p_col]
+        a_val = a_val * ee[a_row] * dd[a_col]
         d *= dd
         e *= ee
-    col_p = np.abs(Pb).max(axis=0)
-    mean_cost = float(col_p.mean())
+    mean_cost = float(_max_at(p_col, p_val, n).mean())
     c = 1.0 / min(max(mean_cost, 1e-6), 1e6) if mean_cost > 0 else 1.0
     c = min(max(c, 1e-6), 1e6)
     return d, e, c
@@ -153,15 +191,21 @@ class ParametricQP:
         self.m = G.shape[0]
         self.G = G  # dense, for the HiGHS feasibility probe only
 
-        self.d, self.e, self.c = _ruiz_equilibrate(Q, G, _RUIZ_ITERS)
         # unscaled Q and G for the residuals, the KKT check and the objective;
-        # the equilibrated A_s for the loop
+        # the equilibrated A_s, At_s and P_s for the loop keep their
+        # structure and scale only the stored values, in the operation order
+        # of the dense products (G_ij e_i) d_j and c ((Q_ij d_i) d_j)
         self.Q = sp.csr_matrix(Q)
         self.A = sp.csr_matrix(G)
         self.At = self.A.T.tocsr()
-        self.A_s = sp.csr_matrix(G * self.e[:, None] * self.d[None, :])
-        self.At_s = self.A_s.T.tocsr()
-        self.P_s = sp.csc_matrix(self.c * (Q * self.d[:, None] * self.d[None, :]))
+        self.d, self.e, self.c = d, e, c = _ruiz_equilibrate(self.Q, self.A, _RUIZ_ITERS)
+        i, j = _entry_index(self.A)
+        self.A_s = _with_data(self.A, self.A.data * e[i] * d[j])
+        j, i = _entry_index(self.At)
+        self.At_s = _with_data(self.At, self.At.data * e[i] * d[j])
+        Qc = self.Q.tocsc()
+        j, i = _entry_index(Qc)
+        self.P_s = _with_data(Qc, c * (Qc.data * d[i] * d[j]))
         self._P_sigma = self.P_s + _SIGMA * sp.identity(self.n, format="csc")
 
         self._base_rho = np.full(self.m, _RHO)
@@ -260,6 +304,7 @@ class ParametricQP:
         y = np.zeros(self.m)
         iters = 0
         rho_updates = 0
+        left = None  # the scale the last update left; the rule never returns to it
         probed = False  # the probe depends only on (G, h), so one answers for the solve
 
         def finish(status, **kw):
@@ -303,8 +348,8 @@ class ParametricQP:
                 ratio = (r_p / eps_p) / (r_d / eps_d)
                 new_scale = _quantize_rho(rho_scale * float(np.sqrt(ratio)))
                 new_scale = min(max(new_scale, 1e-4), 1e4)
-                if new_scale != rho_scale and (new_scale > 5 * rho_scale or new_scale < rho_scale / 5):
-                    rho_scale = new_scale
+                if new_scale != left and (new_scale > 5 * rho_scale or new_scale < rho_scale / 5):
+                    left, rho_scale = rho_scale, new_scale
                     rho_updates += 1
                     lu, rho, rho_inv = self._factor(rho_scale)
         return finish(SolveStatus.NUMERICAL_FAILURE)

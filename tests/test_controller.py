@@ -43,6 +43,24 @@ def _scalar_sys(a=1.0, b=1.0, da=0.0, db=0.0, w=0.1, xb=1.0, ub=1.0):
     )
 
 
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+def _per_sample_hull_radii(sys, K, samples):
+    """Oracle for the vectorized hull screen: one ``rng.dirichlet`` pair, one
+    vertex sum and one ``eigvals`` per sample, in draw order."""
+    rng = np.random.default_rng(0)
+    radii = []
+    for _ in range(samples):
+        wA = rng.dirichlet(np.ones(sys.n_a))
+        wB = rng.dirichlet(np.ones(sys.n_b))
+        dA = sum(w * V for w, V in zip(wA, sys.deltaA_vertices))
+        dB = sum(w * V for w, V in zip(wB, sys.deltaB_vertices))
+        radii.append(controller.spectral_radius((sys.A_bar + dA) + (sys.B_bar + dB) @ K))
+    return radii
+
+
 class TestSynthesizeTerminal:
     def test_scalar_example(self):
         # a=1, b=1, K=-0.5: a_cl = 0.5; [-1,1] is invariant for |w| <= 0.1
@@ -62,6 +80,59 @@ class TestSynthesizeTerminal:
         with pytest.raises(VertexUnstableError) as exc:
             synthesize_terminal(sys, [[-0.5]], [[1.0]], [[1.0]], hull_samples=10)
         assert exc.value.vertex_pair is not None
+
+    @pytest.mark.parametrize("samples", [0, 10, 1000])
+    def test_hull_screen_matches_per_sample_draws_bitwise(self, default_problem, samples):
+        # the default problem, and three dense A vertices (so that the order
+        # of their sum matters) with one B vertex
+        cases = [(default_problem.system, default_problem.K)]
+        cases.append((
+            UncertainSystem(
+                A_bar=[[0.5, 0.2], [0.0, 0.4]],
+                B_bar=[[0.0], [1.0]],
+                deltaA_vertices=[
+                    [[0.1, 0.05], [0.02, 0.1]], [[-0.05, 0.2], [-0.1, 0.03]], [[-0.1, -0.05], [0.1, 0.08]],
+                ],
+                deltaB_vertices=[[[0.1], [0.2]]],
+                W=Polytope.from_box([-0.1, -0.1], [0.1, 0.1]),
+                X=Polytope.from_box([-1, -1], [1, 1]),
+                U=Polytope.from_box([-1], [1]),
+            ),
+            np.array([[-0.1, -0.3]]),
+        ))
+        for sys, K in cases:
+            expected = _per_sample_hull_radii(sys, K, samples)
+            got = controller._sampled_hull_radii(sys, K, samples)
+            assert got.dtype == np.float64 and got.tobytes() == np.array(expected, dtype=float).tobytes()
+            assert max(expected, default=0.0) < 1.0
+            term = synthesize_terminal(sys, K, np.eye(2), np.eye(1), hull_samples=samples)
+            assert _bits(term.hull_screen_max_radius) == _bits(max([0.0] + expected))
+
+    def test_unstable_hull_point_raises_first_sample_radius(self):
+        # nilpotent vertex loops (spectral radius 0) whose midpoint has radius
+        # 1.01: the vertex screen passes, and the sampled hull screen fails at
+        # its third sample, whose radius is below that of later ones
+        a = 2.02
+        sys = UncertainSystem(
+            A_bar=np.zeros((2, 2)),
+            B_bar=[[1.0], [0.0]],
+            deltaA_vertices=[[[0.0, a], [0.0, 0.0]], [[0.0, 0.0], [a, 0.0]]],
+            deltaB_vertices=[[[0.0], [0.0]]],
+            W=Polytope.from_box([-0.1, -0.1], [0.1, 0.1]),
+            X=Polytope.from_box([-1, -1], [1, 1]),
+            U=Polytope.from_box([-1], [1]),
+        )
+        K = np.zeros((1, 2))
+        radii = _per_sample_hull_radii(sys, K, 1000)
+        first = next(r for r in radii if r >= 1.0)
+        assert radii.index(first) == 2 and first < max(radii)
+        with pytest.raises(VertexUnstableError) as exc:
+            synthesize_terminal(sys, K, np.eye(2), np.eye(1), hull_samples=1000)
+        assert str(exc.value) == (
+            "closed loop unstable at a sampled hull point (spectral radius %.6f); "
+            "vertex stability does not certify the hull" % first
+        )
+        assert exc.value.vertex_pair is None
 
     def test_descent_residual(self, default_problem, default_cfg):
         term = default_cfg.terminal

@@ -3,9 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rampc.baseline import BaselineController, make_baseline_config
+from rampc.controller import AdaptiveController, MPCConfig, synthesize_terminal
 from rampc.qpsolver import ParametricQP, SolveStatus, admm, lp, solve_lp, verify_farkas
+from rampc.system import net_additive_bound
+
+from conftest import random_stable_system_2d
 
 
 def _solve(Q, q, G, h):
@@ -175,6 +180,63 @@ def test_factor_solves_dense_x_update_system(default_controller, baseline_contro
             b = rng.normal(size=solver.n)
             residual = np.linalg.norm(M @ lu.solve(b) - b)
             assert residual <= 1e-10 * np.linalg.norm(b), (solver.n, scale, residual)
+
+
+def _dense_ruiz(P, A, iters):
+    """Oracle for the sparse Ruiz passes: the same passes on dense copies."""
+    d = np.ones(P.shape[0])
+    e = np.ones(A.shape[0])
+    Pb, Ab = P.copy(), A.copy()
+    for _ in range(iters):
+        col = np.maximum(np.abs(Pb).max(axis=0), np.abs(Ab).max(axis=0))
+        dd = 1.0 / np.sqrt(np.maximum(col, 1e-12))
+        ee = 1.0 / np.sqrt(np.maximum(np.abs(Ab).max(axis=1), 1e-12))
+        Pb = Pb * dd[:, None] * dd[None, :]
+        Ab = Ab * ee[:, None] * dd[None, :]
+        d *= dd
+        e *= ee
+    mean_cost = float(np.abs(Pb).max(axis=0).mean())
+    c = 1.0 / min(max(mean_cost, 1e-6), 1e6) if mean_cost > 0 else 1.0
+    return d, e, min(max(c, 1e-6), 1e6)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _random_bank(seed):
+    rng = np.random.default_rng(seed)
+    sys, K = random_stable_system_2d(rng, da=0.03, db=0.02)
+    term = synthesize_terminal(sys, K, np.eye(2), np.eye(1), hull_samples=20)
+    cfg = MPCConfig(P=np.eye(2), R=np.eye(1), N=3, terminal=term, bound=net_additive_bound(sys))
+    return AdaptiveController(sys, cfg)
+
+
+def test_sparse_preparation_matches_dense_build_bitwise(default_controller, baseline_controller):
+    # Ruiz on the nonzeros and every prepared CSR/CSC matrix, against the
+    # dense Ruiz passes and the matrices built from dense scaled copies
+    banks = [default_controller, baseline_controller, _random_bank(1), _random_bank(7)]
+    for bank in banks:
+        for n, tpl in bank.templates.items():
+            Q, G, solver = tpl.Q, tpl.G, bank.solvers[n]
+            d, e, c = _dense_ruiz(Q, G, admm._RUIZ_ITERS)
+            assert _same_bits(solver.d, d) and _same_bits(solver.e, e), n
+            assert _same_bits(solver.c, c), n
+            A_s = sp.csr_matrix(G * e[:, None] * d[None, :])
+            dense = {
+                "Q": sp.csr_matrix(Q),
+                "A": sp.csr_matrix(G),
+                "At": sp.csr_matrix(G).T.tocsr(),
+                "A_s": A_s,
+                "At_s": A_s.T.tocsr(),
+                "P_s": sp.csc_matrix(c * (Q * d[:, None] * d[None, :])),
+            }
+            for name, M in dense.items():
+                got = getattr(solver, name)
+                assert got.format == M.format and got.shape == M.shape, (n, name)
+                for part in ("indptr", "indices", "data"):
+                    assert _same_bits(getattr(got, part), getattr(M, part)), (n, name, part)
 
 
 def _dense_kkt_met(tpl, q, h, x, y):

@@ -119,3 +119,23 @@ def _check_against_admm_only(ctl, x, sol):
     J = costs[n_ref]
     if all(abs(c - J) > 1e-8 * (1.0 + abs(J)) for n, c in costs.items() if n != n_ref):
         assert sol.N_star == n_ref, (x, costs)
+
+
+def test_step_size_rule_does_not_cycle_near_boundary():
+    # a draw of the property test above: its N = 3 QP at x0, near the
+    # boundary of F_3, once flipped the step size between two scales until
+    # the iteration cap and ended NUMERICAL_FAILURE
+    rng = np.random.default_rng(38815)
+    sys, K = random_stable_system_2d(rng, da=0.0425, db=0.0)
+    P, R = np.eye(2), np.eye(1)
+    term = synthesize_terminal(sys, K, P, R, hull_samples=20)
+    cfg = MPCConfig(P=P, R=R, N=3, terminal=term, bound=net_additive_bound(sys))
+    ctl = AdaptiveController(sys, cfg)
+    lo, hi = sys.X.bounding_box()
+    x = rng.uniform(lo, hi)  # the start state, drawn as the property test draws it
+    assert np.allclose(x, [-2.883, -2.132], atol=1e-3)
+    tpl = ctl.templates[3]
+    q, h = tpl.parts(x)
+    out = ctl.solvers[3].solve(q, h)
+    assert out.status is SolveStatus.OPTIMAL, (out.status, out.iterations, out.diagnostics)
+    _assert_kkt_contract(tpl, q, h, out, x)
