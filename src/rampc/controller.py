@@ -29,11 +29,16 @@ the same linear solve as S_n) and a fixed, x-independent tail of feedback
 gains and absolute-value variables, taken once from a QP solve at the
 origin.  When z(x) passes the solver's own 1e-8 KKT check with zero
 multipliers, it is the horizon's OPTIMAL result (``backend="central"``,
-no ADMM iteration); otherwise the horizon runs ADMM.  The check's residuals
-are affine in x: they come from maps with one column per state, built with
-the candidate, not from products with the solver's CSR matrices.  In
-closed loop most horizons are unconstrained at their optimum, so most steps
-run no ADMM solve at all.  Terminal ingredients: a robust
+no ADMM iteration).  The check's residuals are affine in x: they come from
+maps with one column per state, built with the candidate, not from
+products with the solver's CSR matrices.  In closed loop most horizons are
+unconstrained at their optimum, so most steps run no ADMM solve at all.
+A horizon whose candidate fails next tries its stored active-set laws
+(``_LawTable``): the optimiser is piecewise affine in x, and each OPTIMAL
+ADMM result leaves the affine law of its active set, anchored at the ADMM
+point, which the same KKT check accepts or rejects at a later state
+(``backend="law"``).  Only a horizon that no law settles runs ADMM.
+Terminal ingredients: a robust
 positive invariant terminal set computed with the exact vertex uncertainty
 (and rechecked by LP), and a terminal cost from the closed-loop Lyapunov
 series, which makes the descent inequality hold with equality globally.
@@ -56,12 +61,19 @@ from .errors import (
 from .geometry import FACET_TOL, Polytope, max_robust_invariant, projection_cuts, support, support_lp_many
 from .prediction import FeedbackGainStack, build_stacked, policy_input
 from .qpsolver import ParametricQP, SolveOutcome, SolveStatus
+from .qpsolver.admm import _KKT_TOL
 from .system import NetAdditiveBound, UncertainSystem, net_additive_bound
 
 _EQ19_TOL = 1e-8
 # a stored facet settles a state only when it is violated by more than
 # _FACET_MARGIN * (1 + |offset|); nearer states take the QP path
 _FACET_MARGIN = 1e-7
+# a row of an ADMM result is active when its slack is at most
+# _ACTIVE_SLACK * (1 + |h_i|); its law keeps the active rows tight
+_ACTIVE_SLACK = 1e-7
+# a horizon stores at most this many active-set laws; above it, ADMM
+# results are returned without a law
+_MAX_LAWS = 256
 # the terminal-cost series stops once a doubling adds less than this share
 _LYAPUNOV_TOL = 1e-14
 _LYAPUNOV_MAX_DOUBLINGS = 200
@@ -460,7 +472,9 @@ class CaseNTemplate:
 @dataclass
 class HorizonResult:
     """Outcome of one horizon.  A pruned horizon was never solved: its lower
-    bound exceeded the best cost found, so ``status`` and ``cost`` are None."""
+    bound exceeded the best cost found, so ``status``, ``cost`` and
+    ``backend`` are None.  ``backend`` names what settled a solved horizon:
+    "central", "law", "facets", or the ADMM solver's "sparse"."""
 
     N_t: int
     status: SolveStatus | None
@@ -469,6 +483,7 @@ class HorizonResult:
     farkas: dict | None = None
     pruned: bool = False
     bound: float | None = None
+    backend: str | None = None
 
 
 @dataclass
@@ -481,8 +496,7 @@ class MPCSolution:
     per_horizon: list = field(default_factory=list)
     x_t: np.ndarray | None = None
     x_bar_next: np.ndarray | None = None  # nominal successor under the plan
-    margin_x: float = float("nan")  # min slack of x_t in the state constraints
-    margin_u: float = float("nan")  # min slack of the applied input
+    sys: UncertainSystem | None = field(default=None, repr=False)  # for the margins
 
     @property
     def is_feasible(self):
@@ -491,6 +505,20 @@ class MPCSolution:
     @property
     def applied_input(self):
         return None if self.u_bar_star is None else self.u_bar_star[0]
+
+    @property
+    def margin_x(self):
+        """Min slack of x_t in the state constraints (nan when infeasible)."""
+        if self.u_bar_star is None:
+            return float("nan")
+        return float(np.min(self.sys.X.h - self.sys.X.H @ self.x_t))
+
+    @property
+    def margin_u(self):
+        """Min slack of the applied input (nan when infeasible)."""
+        if self.u_bar_star is None:
+            return float("nan")
+        return float(np.min(self.sys.U.h - self.sys.U.H @ self.applied_input))
 
     def report(self, tag="proposed"):
         return {
@@ -532,6 +560,124 @@ def _bound_map(tpl):
     return 0.5 * (S + S.T), -Y
 
 
+class _LawTable:
+    """The active-set laws of one horizon, with their KKT residuals stacked.
+
+    Law k comes from an OPTIMAL ADMM result (z_k, y_k) at x_k.  With A the
+    rows active there (slack <= _ACTIVE_SLACK (1 + |h_i|)), the sensitivity
+    system [Q G_A'; G_A 0][Z; Y_A] = [-q_map; -R_A] is solved by minimum
+    norm, and the law is z(x) = z_k + Z (x - x_k), y(x) = y_k + Y (x - x_k)
+    with Y zero off A.  The solve keeps only the columns that Q or G_A
+    touch: every other column of the system is zero, and minimum norm gives
+    its variable 0, so the restriction is exact.  At x_k a law returns
+    (z_k, y_k) bit for bit.
+
+    A law's contract residuals G z(x) - h(x), y(x) and Q z(x) + q(x) + G'y(x)
+    are affine in x - x_k, with the ADMM check's own residuals at x_k as
+    offsets.  An entry whose slope is exactly zero keeps its offset, so of
+    those only the one that could decide the check is kept: the largest
+    constant primal row and the largest constant stationarity row in
+    magnitude (the constant multipliers are >= 0 and all dropped).
+    ``_kkt_ok`` then gives the verdict on the kept entries that it gives on
+    the full residuals.  Each of the three residuals is stacked over all
+    laws, each entry evaluated as offset + sum_j slope_j (x_j - x_k,j), in
+    an order that does not depend on the other laws.  A vectorized screen
+    with the contract's thresholds rejects laws, and ``_kkt_ok`` decides
+    among the rest in storage order.
+    """
+
+    def __init__(self, tpl, solver):
+        self.tpl = tpl
+        self.solver = solver
+        d = tpl._rhs_map.shape[1]
+        self._q_map = np.zeros((tpl.n_vars, d))  # q(x) = q_map x over all of z
+        self._q_map[: tpl._q_map.shape[0]] = tpl._q_map
+        self._q_cols = np.any(tpl.Q != 0.0, axis=0)
+        self._laws = []  # (x_k, z_k, cols, Z, y_k, active, Y_A)
+        self._entries = []  # per law: kept (offsets, slopes) of the three residuals
+
+    def __len__(self):
+        return len(self._laws)
+
+    def add(self, x, q, h, z, y):
+        """Store the law of the OPTIMAL result (z, y) at (x, q, h) when the
+        table is below _MAX_LAWS and the law meets the contract at x."""
+        if len(self._laws) >= _MAX_LAWS:
+            return
+        tpl, solver = self.tpl, self.solver
+        primal = solver.A @ z - h  # the ADMM check's residuals, bit for bit
+        stationarity = solver.Q @ z + q + solver.At @ y
+        active = np.flatnonzero(primal >= -_ACTIVE_SLACK * (1.0 + np.abs(h)))
+        G_A = tpl.G[active]
+        cols = np.flatnonzero(self._q_cols | np.any(G_A != 0.0, axis=0))
+        k = len(cols)
+        kkt = np.zeros((k + len(active), k + len(active)))
+        kkt[:k, :k] = tpl.Q[np.ix_(cols, cols)]
+        kkt[:k, k:] = G_A[:, cols].T
+        kkt[k:, :k] = G_A[:, cols]
+        rhs = np.vstack([-self._q_map[cols], -tpl._rhs_map[active]])
+        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        Z, Y = sol[:k], sol[k:]
+        # (offsets, slopes, the measure whose largest constant entry is kept)
+        maps = (
+            (primal, tpl.G[:, cols] @ Z + tpl._rhs_map, lambda v: v),
+            (y[active], Y, None),
+            (stationarity, tpl.Q[:, cols] @ Z + self._q_map + G_A.T @ Y, np.abs),
+        )
+        entries = []
+        for offset, slope, worst in maps:
+            keep = np.any(slope != 0.0, axis=1)
+            const = np.flatnonzero(~keep)
+            if worst is not None and const.size:
+                keep[const[np.argmax(worst(offset[const]))]] = True
+            entries.append((offset[keep], slope[keep]))
+        if not solver._kkt_ok(*(offset for offset, _ in entries), q):
+            return
+        self._laws.append((x.copy(), z.copy(), cols, Z, y.copy(), active, Y))
+        self._entries.append(entries)
+        # one stack, kind-major: every law's primal entries, then multipliers,
+        # then stationarity; ``_kinds`` holds (owner, per-law bounds) of each
+        parts = [part for kind in zip(*self._entries) for part in kind]
+        self._offset = np.concatenate([o for o, _ in parts])
+        self._slope = np.vstack([s for _, s in parts]).T.copy()
+        anchors = np.array([law[0] for law in self._laws])
+        self._kinds = []
+        for kind in zip(*self._entries):
+            sizes = [len(offset) for offset, _ in kind]
+            self._kinds.append((np.repeat(np.arange(len(sizes)), sizes), np.cumsum([0] + sizes)))
+        owner = np.concatenate([owner for owner, _ in self._kinds])
+        self._anchor = anchors[owner].T.copy()
+        self._cuts = np.cumsum([bounds[-1] for _, bounds in self._kinds])[:2].tolist()
+
+    def first(self, x, q):
+        """Index of the first law that meets the contract at (x, q), or None;
+        the table holds at least one law."""
+        v = self._offset
+        for j in range(len(x)):
+            v = v + self._slope[j] * (x[j] - self._anchor[j])
+        i, j = self._cuts
+        values = p, m, s = v[:i], v[i:j], v[j:]  # primal, multipliers, stationarity
+        tol_s = _KKT_TOL * max(1.0, float(abs(q).max(initial=0.0)))
+        rejected = np.zeros(len(self._laws), dtype=bool)
+        for (owner, _), bad in zip(self._kinds, (p > _KKT_TOL, m < 0.0, abs(s) > tol_s)):
+            rejected[owner[bad]] = True
+        for k in np.flatnonzero(~rejected):
+            parts = [vals[bounds[k] : bounds[k + 1]] for vals, (_, bounds) in zip(values, self._kinds)]
+            if self.solver._kkt_ok(*parts, q):
+                return int(k)
+        return None
+
+    def point(self, k, x):
+        """(z(x), y(x)) of law k."""
+        x_k, z_k, cols, Z, y_k, active, Y = self._laws[k]
+        dx = x - x_k
+        z = z_k.copy()
+        z[cols] += Z @ dx
+        y = y_k.copy()
+        y[active] += Y @ dx
+        return z, y
+
+
 class AdaptiveController:
     """Prepared bank of horizon problems with cached factorizations.
 
@@ -566,6 +712,8 @@ class AdaptiveController:
         # horizon -> (C_n, c_n, D_n), the candidate's KKT residuals as affine
         # maps of x, built with the candidate
         self._residual_maps = {}
+        # horizon -> _LawTable of its active-set laws, grown by its OPTIMAL ADMM results
+        self.laws = {n: _LawTable(tpl, self.solvers[n]) for n, tpl in templates.items()}
 
     def _candidate(self, n):
         """(Z_n, z0_n) of horizon n's central candidate z(x) = Z_n x + z0_n, or None.
@@ -633,6 +781,38 @@ class AdaptiveController:
             solve_time=time.perf_counter() - t0,
         )
 
+    def _law_verdict(self, n, x, q):
+        """OPTIMAL outcome from horizon n's first stored law that meets the
+        1e-8 KKT contract at x (``_LawTable.first``), or None."""
+        laws = self.laws[n]
+        if not laws:
+            return None
+        t0 = time.perf_counter()
+        k = laws.first(x, q)
+        if k is None:
+            return None
+        z, y = laws.point(k, x)
+        return SolveOutcome(
+            status=SolveStatus.OPTIMAL,
+            x_opt=z,
+            objective=float(0.5 * z @ (self.solvers[n].Q @ z) + q @ z),
+            y_ineq=y,
+            backend="law",
+            diagnostics={"law": k, "factorizations": 0, "rho_updates": 0},
+            solve_time=time.perf_counter() - t0,
+        )
+
+    def _admm_verdict(self, n, x):
+        """ADMM solve of horizon n at x.  An OPTIMAL result stores its law
+        while the horizon holds fewer than _MAX_LAWS; the law returns this
+        result bit for bit at x, so a later visit to x settles the same."""
+        tpl = self.templates[n]
+        q, h = tpl.parts(x)
+        out = self.solvers[n].solve(q, h)
+        if out.is_optimal:
+            self.laws[n].add(x, q, h, out.x_opt, out.y_ineq)
+        return out
+
     def _facet_verdict(self, n, x):
         """INFEASIBLE outcome when x lies outside a stored facet of F_n, else None.
 
@@ -672,13 +852,27 @@ class AdaptiveController:
         within the margin, tries the horizon's central candidate
         z(x) = Z_n x + z0_n: if it meets the 1e-8 KKT contract with zero
         multipliers it is the OPTIMAL result (``backend="central"``,
-        ``iterations=0``, objective 1/2 z'Qz + q'z), and otherwise the
-        horizon runs the ADMM solve with its HiGHS-confirmed infeasibility
-        path.  The first INFEASIBLE verdict of a horizon builds its facets
-        and is then taken again from them when x lies beyond the margin of
-        one; the candidate, built on the horizon's first visit to this
-        path, does not depend on x.  So a verdict never depends on the
-        order in which states were visited.
+        ``iterations=0``, objective 1/2 z'Qz + q'z).  Otherwise the horizon
+        tries its stored active-set laws in storage order, and the first
+        whose point meets the same contract at x is the OPTIMAL result
+        (``backend="law"``, ``iterations=0``).  Only then does the horizon
+        run the ADMM solve with its HiGHS-confirmed infeasibility path
+        (``backend="sparse"``); an OPTIMAL ADMM result stores its law
+        (``_admm_verdict``) until the horizon holds _MAX_LAWS of them, and
+        past that cap ADMM results are returned without one.  A law returns
+        its own ADMM result bit for bit at its own state, so a revisited
+        state settles exactly as it did the first time.
+
+        The first INFEASIBLE verdict of a horizon builds its facets, which
+        depend only on the horizon's QP, and the candidate, built on the
+        horizon's first visit to this path, does not depend on x.  The laws
+        do depend on which states came first, and the optimal gains, even
+        the optimal inputs, are not unique: a state that a law settles can
+        get a different point within the contract than ADMM would give.
+        So the statuses, the certificates and N* (outside ties within the
+        contract's tolerance) never depend on the order in which states
+        were visited, and every OPTIMAL point meets the contract; the bits
+        of an OPTIMAL point may.
         """
         x = np.asarray(x_t, dtype=float).reshape(-1)
         per = []
@@ -695,21 +889,29 @@ class AdaptiveController:
                 continue
             out = self._facet_verdict(n, x)
             if out is None:
-                # h(x) is formed only for ADMM: the central verdict reads q alone
-                out = self._central_verdict(n, x, tpl.q(x)) or self.solvers[n].solve(*tpl.parts(x))
+                # h(x) is formed only for ADMM: the central and law verdicts read q alone
+                q = tpl.q(x)
+                out = (
+                    self._central_verdict(n, x, q)
+                    or self._law_verdict(n, x, q)
+                    or self._admm_verdict(n, x)
+                )
                 if out.status is SolveStatus.INFEASIBLE and n not in self.feasible_sets:
                     self.feasible_sets[n] = projection_cuts(tpl.G, tpl._rhs_map, tpl._h_base)
                     out = self._facet_verdict(n, x) or out
             elapsed = time.perf_counter() - t0
             if out.status is SolveStatus.OPTIMAL:
                 J = out.objective + tpl.constant(x)
-                per.append(HorizonResult(n, out.status, J, elapsed, bound=bound))
+                per.append(HorizonResult(n, out.status, J, elapsed, bound=bound, backend=out.backend))
                 if best is None or (J, n) < best[:2]:
                     best = (J, n, out)
             else:
                 failed = failed or out.status is not SolveStatus.INFEASIBLE
                 per.append(
-                    HorizonResult(n, out.status, None, elapsed, farkas=out.farkas, bound=bound)
+                    HorizonResult(
+                        n, out.status, None, elapsed,
+                        farkas=out.farkas, bound=bound, backend=out.backend,
+                    )
                 )
         per.reverse()  # report in horizon order 1..N
         if best is None:
@@ -738,8 +940,7 @@ class AdaptiveController:
             per_horizon=per,
             x_t=x,
             x_bar_next=x_next,
-            margin_x=float(np.min(self.sys.X.h - self.sys.X.H @ x)),
-            margin_u=float(np.min(self.sys.U.h - self.sys.U.H @ u[0])),
+            sys=self.sys,
         )
 
     def step(self, x_t):

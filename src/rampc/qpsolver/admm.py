@@ -275,8 +275,9 @@ class ParametricQP:
         It takes the residuals, not x: ``primal`` is G x - h and
         ``stationarity`` is Q x + q + G'y (entries left out are exactly
         zero).  The ADMM loop forms them from its CSR products; a
-        controller's central candidate forms them from affine maps of the
-        state (``AdaptiveController._central_verdict``).
+        controller's central candidate and its active-set laws form them
+        from affine maps of the state (``AdaptiveController._central_verdict``,
+        ``controller._LawTable``).
         """
         # ndarray methods, not np.max: the wrappers nearly double the cost of
         # these small reductions, which run on every settled central step

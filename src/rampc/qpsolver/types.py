@@ -40,9 +40,13 @@ class SolveOutcome:
     "central" for an OPTIMAL result a controller took from a horizon's
     central candidate, the unconstrained minimiser of its cost with a fixed
     tail, after that point passed the same 1e-8 KKT check with zero
-    multipliers (``iterations`` 0, ``y_ineq`` all zero).  The check's
-    residuals come from the solver's CSR products for an ADMM result and
-    from affine maps of the state for a "central" one.
+    multipliers (``iterations`` 0, ``y_ineq`` all zero), and "law" for an
+    OPTIMAL result a controller took from a horizon's stored active-set law,
+    the affine point and multipliers of an earlier ADMM result's active set,
+    after they passed the same check (``iterations`` 0,
+    ``diagnostics["law"]`` is the law's index).  The check's residuals come
+    from the solver's CSR products for an ADMM result and from affine maps
+    of the state for a "central" or "law" one.
     ``polished`` is always False: no solver refines its result after
     convergence.  The field stays because the benchmark's tracing
     (``perfbench/tracing.py``) reads it.  Every ADMM solve (and every

@@ -474,9 +474,11 @@ def _exhaustive_reference(ctl, x):
     """Selection without pruning: every horizon in ascending order, strict < on cost.
 
     Each horizon takes the controller's per-horizon rule without the stored
-    facets: its central candidate when that passes the KKT check, else ADMM.
-    Returns (status, N*, J*, applied input, {horizon: cost of every feasible
-    horizon}, {horizon: solve outcome of every horizon}).
+    facets: its central candidate when that passes the KKT check, else its
+    first stored law that passes it, else ADMM, whose OPTIMAL result stores
+    its law in the controller as ``solve`` does.  Returns (status, N*, J*,
+    applied input, {horizon: cost of every feasible horizon}, {horizon:
+    solve outcome of every horizon}).
     """
     best = None
     costs = {}
@@ -484,8 +486,10 @@ def _exhaustive_reference(ctl, x):
     failed = False
     for n in sorted(ctl.templates):
         tpl = ctl.templates[n]
-        q, h = tpl.parts(x)
-        out = outcomes[n] = ctl._central_verdict(n, x, q) or ctl.solvers[n].solve(q, h)
+        q = tpl.q(x)
+        out = outcomes[n] = (
+            ctl._central_verdict(n, x, q) or ctl._law_verdict(n, x, q) or ctl._admm_verdict(n, x)
+        )
         if out.status is SolveStatus.OPTIMAL:
             J = out.objective + tpl.constant(x)
             costs[n] = J
@@ -513,10 +517,10 @@ def _closed_loop_states(problem, cfg, ctl):
     return states
 
 
-def _grid_states(problem):
+def _grid_states(problem, n=10):
     X = problem.system.X
     lo, hi = X.bounding_box()
-    axes = [np.linspace(lo[j], hi[j], 10) for j in range(X.dim)]
+    axes = [np.linspace(lo[j], hi[j], n) for j in range(X.dim)]
     pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     return [p for p in pts if X.contains(p)]
 
@@ -607,31 +611,23 @@ class TestPruning:
         assert all(checked.values()), checked
 
     def test_second_grid_pass_iteration_budget(self, monkeypatch, bank_cases):
-        # the grid's hard feasible states adapt the step size early: a second
-        # pass of both banks takes about 36k ADMM iterations (64k when the
-        # step size first adapted at iteration 200), each OPTIMAL result a
-        # 1e-8 KKT point
-        solved = []
+        # the first pass stored the law of every OPTIMAL ADMM result, and a
+        # law returns its own result at its own state: a second pass of both
+        # banks settles every solved horizon by a facet, a central candidate
+        # or a law, with no ADMM iteration, and each law outcome is a 1e-8
+        # KKT point
         for ctl, cases in bank_cases.values():
-            for n, solver in ctl.solvers.items():
-                def recorded(q, h, n=n, ctl=ctl, solve=solver.solve):
-                    out = solve(q, h)
-                    solved.append((ctl, n, q, h, out))
-                    return out
-
-                monkeypatch.setattr(solver, "solve", recorded)
+            calls = _count_qp_solves(monkeypatch, ctl)
+            laws = _recording_laws(monkeypatch, ctl)
             for x, _, _ in cases["grid"]:
-                ctl.solve(x)
-        assert sum(out.iterations for *_, out in solved) < 45_000
-        optimal = 0
-        for ctl, n, q, h, out in solved:
-            if out.status is SolveStatus.OPTIMAL:
+                for r in ctl.solve(x).per_horizon:
+                    assert r.backend in ({None} if r.pruned else {"facets", "central", "law"}), (x, r)
+            assert not any(calls.values()), calls
+            assert laws
+            for n, x, q, out in laws:
                 tpl = ctl.templates[n]
-                z, y = out.x_opt, out.y_ineq
-                assert np.max(tpl.G @ z - h) <= 1e-8 and np.min(y) >= -1e-8
-                assert np.max(np.abs(tpl.Q @ z + q + tpl.G.T @ y)) <= 1e-8 * max(1.0, np.max(np.abs(q)))
-                optimal += 1
-        assert optimal > 0
+                assert out.status is SolveStatus.OPTIMAL and out.backend == "law" and out.iterations == 0
+                assert _kkt_violation(tpl, q, tpl.parts(x)[1], out.x_opt, out.y_ineq) <= 1e-8
 
     def test_pruning_skips_most_shorter_horizons(self, default_cfg, pruning_cases):
         # (c) on the closed-loop states at least 90 % of the N_t < N solves are skipped
@@ -1001,10 +997,19 @@ class TestCentral:
         x = np.array([1.0, 2.0])
         sol = ctl.solve(x)
         assert ctl.candidates[n] is None and len(calls) == 2  # origin, then x
-        ref = default_controller.solvers[n].solve(*ctl.templates[n].parts(x))
-        assert sol.N_star == n and sol.J_star == ref.objective + ctl.templates[n].constant(x)
-        ctl.solve(x)
-        assert len(calls) == 3  # no second origin solve
+        tpl = ctl.templates[n]
+        q, h = tpl.parts(x)
+        ref = default_controller.solvers[n].solve(q, h)
+        assert sol.N_star == n and sol.J_star == ref.objective + tpl.constant(x)
+        assert sol.per_horizon[-1].backend == "sparse" and len(ctl.laws[n]) == 1
+        # the repeat visit makes no second origin solve and no ADMM solve:
+        # the stored law of the first visit's result settles x, bit for bit
+        again = ctl.solve(x)
+        assert len(calls) == 2 and again.per_horizon[-1].backend == "law"
+        assert again.J_star == sol.J_star and np.array_equal(again.u_bar_star, sol.u_bar_star)
+        out = ctl._law_verdict(n, x, q)
+        assert out.iterations == 0 and np.array_equal(out.x_opt, ref.x_opt)
+        assert _kkt_violation(tpl, q, h, out.x_opt, out.y_ineq) <= 1e-8
 
     @pytest.mark.parametrize("bank", ["adaptive", "baseline"])
     def test_verdict_equals_dense_contract_on_uniform_states(
@@ -1037,6 +1042,133 @@ class TestCentral:
         Z, z0 = default_controller._candidate(1)
         np.testing.assert_array_equal(Z, default_controller._gains[1])
         assert not np.any(z0)
+
+
+# ---------------------------------------------------------------------------
+# active-set laws settle revisited and neighbouring constrained states
+# ---------------------------------------------------------------------------
+
+
+def _admm_only_reference(ctl, x):
+    """Every horizon by its central candidate, else by ``ParametricQP.solve``:
+    no facets, no laws, and nothing stored.  Returns ({horizon: status},
+    {horizon: (cost, applied input) of every OPTIMAL horizon})."""
+    statuses, optimal = {}, {}
+    for n, tpl in ctl.templates.items():
+        q, h = tpl.parts(x)
+        out = ctl._central_verdict(n, x, q) or ctl.solvers[n].solve(q, h)
+        statuses[n] = out.status
+        if out.is_optimal:
+            optimal[n] = (out.objective + tpl.constant(x), tpl.extract(out.x_opt)[0][0])
+    return statuses, optimal
+
+
+def _recording_laws(monkeypatch, ctl):
+    """List that collects (n, x, q, outcome) of every law verdict ``ctl`` gives."""
+    laws = []
+    verdict = ctl._law_verdict
+
+    def recorded(n, x, q):
+        out = verdict(n, x, q)
+        if out is not None:
+            laws.append((n, x, q, out))
+        return out
+
+    monkeypatch.setattr(ctl, "_law_verdict", recorded)
+    return laws
+
+
+class TestLaws:
+    @pytest.mark.parametrize("bank", ["adaptive", "baseline"])
+    def test_unseen_grid_matches_admm_only_reference(
+        self, monkeypatch, bank, default_problem, default_cfg
+    ):
+        # laws grown on a grid-10 pass settle states of an unseen grid 17;
+        # statuses, N* outside ties and inputs agree with ADMM alone
+        prob = default_problem
+        if bank == "adaptive":
+            ctl = AdaptiveController(prob.system, default_cfg)
+        else:
+            bcfg = make_baseline_config(prob.system, prob.K, prob.P, prob.R, prob.N, bound=default_cfg.bound)
+            ctl = BaselineController(prob.system, bcfg)
+        for x in _grid_states(prob):
+            ctl.solve(x)
+        laws = _recording_laws(monkeypatch, ctl)
+        hits = 0
+        for x in _grid_states(prob, 17):
+            sol = ctl.solve(x)
+            statuses, optimal = _admm_only_reference(ctl, x)
+            for r in sol.per_horizon:
+                if not r.pruned:
+                    assert r.status is statuses[r.N_t], (x, r.N_t)
+                    hits += r.backend == "law"
+            assert sol.is_feasible == bool(optimal), x
+            if not optimal:
+                continue
+            n_ref = min(optimal, key=lambda n: (optimal[n][0], n))
+            J = optimal[n_ref][0]
+            tied = [n for n, (c, _) in optimal.items() if abs(c - J) <= 1e-8 * (1.0 + abs(J))]
+            assert sol.N_star in tied, (x, sol.N_star, optimal)
+            assert abs(sol.J_star - J) <= 1e-8 * (1.0 + abs(J)), x
+            assert np.max(np.abs(sol.applied_input - optimal[sol.N_star][1])) <= 1e-6, x
+        assert hits > 0 and len(laws) == hits
+        for n, x, q, out in laws:
+            tpl = ctl.templates[n]
+            assert out.backend == "law" and out.iterations == 0
+            assert _kkt_violation(tpl, q, tpl.parts(x)[1], out.x_opt, out.y_ineq) <= 1e-8, (n, x)
+            assert out.objective == 0.5 * out.x_opt @ (ctl.solvers[n].Q @ out.x_opt) + q @ out.x_opt
+
+    def test_table_stops_growing_at_the_cap(self, monkeypatch, default_problem, default_cfg):
+        # at _MAX_LAWS a horizon stores no further law, and ADMM results are
+        # returned as before: the same bits on every visit
+        monkeypatch.setattr(controller, "_MAX_LAWS", 2)
+        ctl = AdaptiveController(default_problem.system, default_cfg)
+        calls = _count_qp_solves(monkeypatch, ctl)
+        grid = _grid_states(default_problem)
+        first = [ctl.solve(x) for x in grid]
+        assert max(len(t) for t in ctl.laws.values()) == 2
+        full = [n for n, t in ctl.laws.items() if len(t) == 2]
+        solved = dict(calls)
+        second = [ctl.solve(x) for x in grid]
+        assert all(len(ctl.laws[n]) == 2 for n in full)
+        n = max(ctl.templates)
+        assert n in full and calls[n] > solved[n]  # states beyond the cap run ADMM again
+        admm = 0
+        for a, b in zip(first, second):
+            assert (a.status, a.N_star, a.J_star) == (b.status, b.N_star, b.J_star)
+            if a.is_feasible:
+                assert np.array_equal(a.u_bar_star, b.u_bar_star)
+            admm += sum(r.backend == "sparse" and r.status is SolveStatus.OPTIMAL for r in b.per_horizon)
+        assert admm > 0
+
+    def test_law_at_its_own_state_returns_the_admm_result(self, default_problem, default_cfg):
+        # each stored law reproduces, at its own state, the ADMM result it
+        # came from bit for bit, and the first law that passes there is itself
+        ctl = AdaptiveController(default_problem.system, default_cfg)
+        for x in _grid_states(default_problem):
+            ctl.solve(x)
+        checked = 0
+        for n, table in ctl.laws.items():
+            tpl = ctl.templates[n]
+            for k, (x_k, z_k, *_rest) in enumerate(table._laws):
+                q, h = tpl.parts(x_k)
+                ref = ctl.solvers[n].solve(q, h)
+                out = ctl._law_verdict(n, x_k, q)
+                assert out.diagnostics["law"] == k
+                assert np.array_equal(out.x_opt, ref.x_opt) and np.array_equal(out.x_opt, z_k)
+                assert np.array_equal(out.y_ineq, ref.y_ineq) and out.objective == ref.objective
+                checked += 1
+        assert checked > 0
+
+    def test_margins_match_their_definition(self, default_problem, default_controller, own_controller):
+        sys = default_problem.system
+        x = np.array([1.0, 2.0])
+        sol = default_controller.solve(x)
+        assert sol.margin_x == float(np.min(sys.X.h - sys.X.H @ x))
+        assert sol.margin_u == float(np.min(sys.U.h - sys.U.H @ sol.applied_input))
+        assert sol.report()["constraint_margins"] == {"state": sol.margin_x, "input": sol.margin_u}
+        far = own_controller.solve(np.array([50.0, 50.0]))
+        assert not far.is_feasible and np.isnan(far.margin_x) and np.isnan(far.margin_u)
 
 
 class TestRollout:

@@ -10,7 +10,8 @@ the loop is feasible it stays feasible, and each optimal cost is at most
 the candidate tail cost of the step before (the descent check).
 
 Every OPTIMAL result, whether settled by its central candidate
-(``backend="central"``) or solved by ``ParametricQP``, meets the 1e-8 KKT
+(``backend="central"``), by a stored active-set law (``backend="law"``) or
+solved by ``ParametricQP``, meets the 1e-8 KKT
 contract, recomputed here from the template's dense Q and G (the solver
 checks it on its sparse copies); a horizon whose origin QP was not OPTIMAL
 has no candidate and is never settled centrally; and N* equals that of an
@@ -48,23 +49,30 @@ def test_closed_loop_on_random_systems(seed, radii):
         assume(False)  # the hull screen or the invariant set rejected this draw
     cfg = MPCConfig(P=P, R=R, N=3, terminal=term, bound=net_additive_bound(sys))
     ctl = AdaptiveController(sys, cfg)
-    central = []
-    verdict = ctl._central_verdict
+    central, laws = [], []
 
-    def recorded(n, x, q):
-        out = verdict(n, x, q)
-        if out is not None:
-            central.append((n, q, ctl.templates[n].parts(x)[1], out))
-        return out
+    def recording(verdict, into):
+        def recorded(n, x, q):
+            out = verdict(n, x, q)
+            if out is not None:
+                into.append((n, q, ctl.templates[n].parts(x)[1], out))
+            return out
 
-    ctl._central_verdict = recorded
+        return recorded
+
+    ctl._central_verdict = recording(ctl._central_verdict, central)
+    ctl._law_verdict = recording(ctl._law_verdict, laws)
     real = sample_realization(sys, STEPS, seed=seed)
     A_true, B_true = real.A_true(sys), real.B_true(sys)
     lo, hi = sys.X.bounding_box()
     x = rng.uniform(lo, hi)
     prev = None  # (solution, realized net-additive residual) of the last step
+    admm_states = []  # (x, horizons whose ADMM solve ended OPTIMAL there)
     for t in range(STEPS):
         sol = ctl.solve(x)
+        solved = [r.N_t for r in sol.per_horizon if r.backend == "sparse" and r.cost is not None]
+        if solved:
+            admm_states.append((x, solved))
         assert sol.status is not SolveStatus.NUMERICAL_FAILURE, (t, x)
         for r in sol.per_horizon:
             assert r.status is not SolveStatus.NUMERICAL_FAILURE, (t, x, r.N_t)
@@ -74,7 +82,11 @@ def test_closed_loop_on_random_systems(seed, radii):
         for n, q, h, out in central:
             assert ctl.candidates[n] is not None and out.backend == "central", (t, x, n)
             _assert_kkt_contract(ctl.templates[n], q, h, out, (t, x, n))
+        for n, q, h, out in laws:
+            assert len(ctl.laws[n]) > 0 and out.backend == "law" and out.iterations == 0, (t, x, n)
+            _assert_kkt_contract(ctl.templates[n], q, h, out, (t, x, n))
         central.clear()
+        laws.clear()
         _check_against_admm_only(ctl, x, sol)
         if not sol.is_feasible:
             assert prev is None, (t, x)  # recursive feasibility
@@ -87,6 +99,18 @@ def test_closed_loop_on_random_systems(seed, radii):
         x_next = A_true @ x + B_true @ u + real.w_sequence[t]
         prev = (sol, x_next - sys.A_bar @ x - sys.B_bar @ u)
         x = x_next
+    # each OPTIMAL ADMM result stored its law: a revisit settles by it, and a
+    # state nearby may; both agree with ADMM alone
+    for x, solved in admm_states:
+        again = ctl.solve(x)
+        assert all(again.per_horizon[n - 1].backend == "law" for n in solved), (x, solved)
+        near = x + 1e-3 * rng.standard_normal(sys.d)
+        for y in (x, near):
+            sol = ctl.solve(y)
+            _check_against_admm_only(ctl, y, sol)
+        for n, q, h, out in laws:
+            _assert_kkt_contract(ctl.templates[n], q, h, out, (x, n))
+        laws.clear()
     for n, cand in ctl.candidates.items():
         # a candidate exists exactly when the horizon's origin QP is OPTIMAL
         tpl = ctl.templates[n]
