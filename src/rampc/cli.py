@@ -46,6 +46,8 @@ def _parse_x0(text, d):
         raise ProblemFormatError("--x0", "expected comma-separated numbers") from None
     if len(vals) != d:
         raise ProblemFormatError("--x0", "expected %d components, got %d" % (d, len(vals)))
+    if not np.all(np.isfinite(vals)):
+        raise ProblemFormatError("--x0", "expected finite numbers, got %s" % text)
     return np.asarray(vals)
 
 

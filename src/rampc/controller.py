@@ -23,21 +23,18 @@ LPs (``geometry.projection_cuts``, exact in 2-d) and stored with their LP
 multipliers, and from then on a state outside a stored facet by more than a
 1e-7 margin is settled INFEASIBLE in microseconds, with that facet's
 multiplier as its Farkas certificate.  A horizon that is neither pruned nor
-settled by a facet first tries its central candidate z(x) = Z_n x + z0_n:
-the unconstrained minimiser u = K_n x in the nominal inputs (K_n comes from
-the same linear solve as S_n) and a fixed, x-independent tail of feedback
-gains and absolute-value variables, taken once from a QP solve at the
-origin.  When z(x) passes the solver's own 1e-8 KKT check with zero
-multipliers, it is the horizon's OPTIMAL result (``backend="central"``,
-no ADMM iteration).  The check's residuals are affine in x: they come from
-maps with one column per state, built with the candidate, not from
-products with the solver's CSR matrices.  In closed loop most horizons are
-unconstrained at their optimum, so most steps run no ADMM solve at all.
-A horizon whose candidate fails next tries its stored active-set laws
-(``_LawTable``): the optimiser is piecewise affine in x, and each OPTIMAL
-ADMM result leaves the affine law of its active set, anchored at the ADMM
-point, which the same KKT check accepts or rejects at a later state
-(``backend="law"``).  Only a horizon that no law settles runs ADMM.
+settled by a facet tries its affine laws (``_LawTable``): the optimiser is
+piecewise affine in x, and each law is one piece, a point z(x) and
+multipliers y(x) affine in x whose KKT residuals are affine in x as well.
+Law 0 is the central law, the unconstrained minimiser u = K_n x in the
+nominal inputs (K_n comes from the same linear solve as S_n) with a fixed,
+x-independent tail of feedback gains and absolute-value variables taken
+once from a QP solve at the origin, and y = 0; in closed loop most horizons
+are unconstrained at their optimum, so most steps are settled by it.  Each
+OPTIMAL ADMM result adds the law of its active set, anchored at the ADMM
+point.  The first law whose residuals meet the solver's own 1e-8 KKT
+contract at x is the horizon's OPTIMAL result (``backend="law"``, no ADMM
+iteration), and only a horizon that no law settles runs ADMM.
 Terminal ingredients: a robust
 positive invariant terminal set computed with the exact vertex uncertainty
 (and rechecked by LP), and a terminal cost from the closed-loop Lyapunov
@@ -45,6 +42,7 @@ series, which makes the descent inequality hold with equality globally.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -53,6 +51,7 @@ import numpy as np
 from .errors import (
     AllHorizonsInfeasibleError,
     ConvergenceError,
+    DimensionMismatchError,
     EmptyTerminalSetError,
     HistoryLengthMismatchError,
     LyapunovDivergenceError,
@@ -474,7 +473,7 @@ class HorizonResult:
     """Outcome of one horizon.  A pruned horizon was never solved: its lower
     bound exceeded the best cost found, so ``status``, ``cost`` and
     ``backend`` are None.  ``backend`` names what settled a solved horizon:
-    "central", "law", "facets", or the ADMM solver's "sparse"."""
+    "law", "facets", or the ADMM solver's "sparse"."""
 
     N_t: int
     status: SolveStatus | None
@@ -561,43 +560,74 @@ def _bound_map(tpl):
 
 
 class _LawTable:
-    """The active-set laws of one horizon, with their KKT residuals stacked.
+    """The affine laws of one horizon, with their KKT residuals stacked.
 
-    Law k comes from an OPTIMAL ADMM result (z_k, y_k) at x_k.  With A the
-    rows active there (slack <= _ACTIVE_SLACK (1 + |h_i|)), the sensitivity
-    system [Q G_A'; G_A 0][Z; Y_A] = [-q_map; -R_A] is solved by minimum
-    norm, and the law is z(x) = z_k + Z (x - x_k), y(x) = y_k + Y (x - x_k)
-    with Y zero off A.  The solve keeps only the columns that Q or G_A
-    touch: every other column of the system is zero, and minimum norm gives
-    its variable 0, so the restriction is exact.  At x_k a law returns
-    (z_k, y_k) bit for bit.
+    Law k is z(x) = z_k + Z (x - x_k) on the columns ``cols`` and
+    y(x) = y_k + Y (x - x_k) on the rows ``active``, zero elsewhere.  Law 0
+    is the central law (``add_central``): anchored at the origin,
+    z(x) = z0 + [K; 0] x with K the unconstrained gain of ``_bound_map``,
+    no active rows and y = 0.  z0 = [0; M0; a0] takes the feedback gains M0
+    of one QP solve at the origin and sets each absolute-value variable
+    tightly (``CaseNTemplate.central_offset``); a horizon without such
+    variables needs no origin solve, and one whose origin solve is not
+    OPTIMAL has no central law.  Every other law comes from an OPTIMAL ADMM
+    result (z_k, y_k) at x_k (``add``): with A the rows active there (slack
+    <= _ACTIVE_SLACK (1 + |h_i|)), [Q G_A'; G_A 0][Z; Y] = [-q_map; -R_A]
+    is solved by minimum norm on the columns that Q or G_A touch (every
+    other column of the system is zero, and minimum norm gives its variable
+    0, so the restriction is exact).  At x_k it returns (z_k, y_k) bit for
+    bit.
 
-    A law's contract residuals G z(x) - h(x), y(x) and Q z(x) + q(x) + G'y(x)
-    are affine in x - x_k, with the ADMM check's own residuals at x_k as
-    offsets.  An entry whose slope is exactly zero keeps its offset, so of
-    those only the one that could decide the check is kept: the largest
-    constant primal row and the largest constant stationarity row in
-    magnitude (the constant multipliers are >= 0 and all dropped).
-    ``_kkt_ok`` then gives the verdict on the kept entries that it gives on
-    the full residuals.  Each of the three residuals is stacked over all
-    laws, each entry evaluated as offset + sum_j slope_j (x_j - x_k,j), in
-    an order that does not depend on the other laws.  A vectorized screen
-    with the contract's thresholds rejects laws, and ``_kkt_ok`` decides
-    among the rest in storage order.
+    A law's residuals G z(x) - h(x), y(x) and Q z(x) + q(x) + G'y(x) are
+    affine in x - x_k, with those at x_k (for an ADMM law, the ADMM check's
+    own) as offsets.  Of the entries with slope exactly zero only the one
+    that could decide the contract is kept (``_kept``): the largest primal
+    row and the largest stationarity row in magnitude (constant multipliers
+    are >= 0).  Each law's entries are stacked together, its multipliers
+    negated and its stationarity entries twice, with signs + and -, so the
+    contract reads "every entry is at most its limit": 1e-8 for primal rows,
+    0 for multipliers, 1e-8 max(1, |q|) for stationarity.  The screen
+    evaluates each entry as offset + sum_j slope_j (x_j - x_k,j) and passes
+    a law when every entry is at most its limit, so a NaN fails it; on
+    finite residuals that is the verdict of ``ParametricQP._kkt_ok``.  Law 0
+    is stacked alone (``_head``, the others in ``_rest``), so a state it
+    settles reads its entries only.
     """
 
-    def __init__(self, tpl, solver):
+    def __init__(self, tpl, solver, K):
         self.tpl = tpl
         self.solver = solver
+        self._K = K
         d = tpl._rhs_map.shape[1]
         self._q_map = np.zeros((tpl.n_vars, d))  # q(x) = q_map x over all of z
         self._q_map[: tpl._q_map.shape[0]] = tpl._q_map
         self._q_cols = np.any(tpl.Q != 0.0, axis=0)
-        self._laws = []  # (x_k, z_k, cols, Z, y_k, active, Y_A)
+        self.central = None  # whether law 0 is the central law, once add_central has run
+        self._laws = []  # (x_k, z_k, cols, Z, y_k, active, Y)
         self._entries = []  # per law: kept (offsets, slopes) of the three residuals
+        self._head = self._rest = None  # _stack of law 0 and of the others
 
     def __len__(self):
         return len(self._laws)
+
+    def add_central(self):
+        """Store law 0, the central law, unless the origin solve it needs
+        is not OPTIMAL; runs once, on the horizon's first QP-path visit."""
+        tpl, solver, K = self.tpl, self.solver, self._K
+        n_u, d = K.shape
+        x, z = np.zeros(d), np.zeros(tpl.n_vars)
+        q, h = tpl.parts(x)
+        if tpl.n_vars > n_u:
+            out = solver.solve(q, h)
+            if not out.is_optimal:
+                self.central = False
+                return
+            z = tpl.central_offset(out.x_opt)
+        self.central = True
+        y, cols, active, Y = np.zeros(solver.m), np.arange(n_u), np.zeros(0, dtype=np.intp), np.zeros((0, d))
+        primal = solver.A @ z - h
+        stationarity = solver.Q @ z + q + solver.At @ y
+        self._append((x, z, cols, K, y, active, Y), self._kept(primal, y, stationarity, cols, K, active, Y))
 
     def add(self, x, q, h, z, y):
         """Store the law of the OPTIMAL result (z, y) at (x, q, h) when the
@@ -618,11 +648,20 @@ class _LawTable:
         rhs = np.vstack([-self._q_map[cols], -tpl._rhs_map[active]])
         sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
         Z, Y = sol[:k], sol[k:]
+        entries = self._kept(primal, y, stationarity, cols, Z, active, Y)
+        if not solver._kkt_ok(*(offset for offset, _ in entries), q):
+            return
+        self._append((x.copy(), z.copy(), cols, Z, y.copy(), active, Y), entries)
+
+    def _kept(self, primal, y, stationarity, cols, Z, active, Y):
+        """Kept (offsets, slopes) of a law's primal, multiplier and
+        stationarity residuals, from their values at the anchor."""
+        tpl = self.tpl
         # (offsets, slopes, the measure whose largest constant entry is kept)
         maps = (
             (primal, tpl.G[:, cols] @ Z + tpl._rhs_map, lambda v: v),
             (y[active], Y, None),
-            (stationarity, tpl.Q[:, cols] @ Z + self._q_map + G_A.T @ Y, np.abs),
+            (stationarity, tpl.Q[:, cols] @ Z + self._q_map + tpl.G[active].T @ Y, np.abs),
         )
         entries = []
         for offset, slope, worst in maps:
@@ -631,41 +670,57 @@ class _LawTable:
             if worst is not None and const.size:
                 keep[const[np.argmax(worst(offset[const]))]] = True
             entries.append((offset[keep], slope[keep]))
-        if not solver._kkt_ok(*(offset for offset, _ in entries), q):
-            return
-        self._laws.append((x.copy(), z.copy(), cols, Z, y.copy(), active, Y))
+        return entries
+
+    def _append(self, law, entries):
+        """Store ``law`` with its kept entries and restack the screen's."""
+        self._laws.append(law)
         self._entries.append(entries)
-        # one stack, kind-major: every law's primal entries, then multipliers,
-        # then stationarity; ``_kinds`` holds (owner, per-law bounds) of each
-        parts = [part for kind in zip(*self._entries) for part in kind]
-        self._offset = np.concatenate([o for o, _ in parts])
-        self._slope = np.vstack([s for _, s in parts]).T.copy()
-        anchors = np.array([law[0] for law in self._laws])
-        self._kinds = []
-        for kind in zip(*self._entries):
-            sizes = [len(offset) for offset, _ in kind]
-            self._kinds.append((np.repeat(np.arange(len(sizes)), sizes), np.cumsum([0] + sizes)))
-        owner = np.concatenate([owner for owner, _ in self._kinds])
-        self._anchor = anchors[owner].T.copy()
-        self._cuts = np.cumsum([bounds[-1] for _, bounds in self._kinds])[:2].tolist()
+        offset, slope, _, limits, starts = self._stack(0, 1)
+        self._head = (offset, slope, self._laws[0][0], limits, starts)  # one anchor, broadcast
+        if len(self._laws) > 1:
+            self._rest = self._stack(1, None)
+
+    def _stack(self, lo, hi):
+        """The screen's entries of laws lo..hi-1, law-major: (offsets,
+        slopes and anchors with one row per state, limits, each law's first
+        entry).  A stationarity limit is infinite here: the screen lowers it
+        to 1e-8 max(1, |q|), which is at least every other limit."""
+        offsets, slopes, anchors, limits, starts = [], [], [], [], [0]
+        for (x_k, *_), ((p, P), (m, M), (s, S)) in zip(self._laws[lo:hi], self._entries[lo:hi]):
+            offsets += [p, -m, s, -s]
+            slopes += [P, -M, S, -S]
+            limits.append(np.repeat([_KKT_TOL, 0.0, np.inf, np.inf], [len(p), len(m), len(s), len(s)]))
+            anchors.append(np.repeat(x_k[None], len(limits[-1]), axis=0))
+            starts.append(starts[-1] + len(limits[-1]))
+        return (
+            np.concatenate(offsets),
+            np.vstack(slopes).T.copy(),
+            np.vstack(anchors).T.copy(),
+            np.concatenate(limits),
+            np.array(starts[:-1]),
+        )
+
+    @staticmethod
+    def _screen(stack, x, tol_s):
+        """Whether each law of ``stack`` passes the screen at x."""
+        offset, slope, anchor, limits, starts = stack
+        v = offset
+        for j in range(len(x)):
+            v = v + slope[j] * (x[j] - anchor[j])
+        return np.logical_and.reduceat(v <= np.minimum(limits, tol_s), starts)
 
     def first(self, x, q):
-        """Index of the first law that meets the contract at (x, q), or None;
-        the table holds at least one law."""
-        v = self._offset
-        for j in range(len(x)):
-            v = v + self._slope[j] * (x[j] - self._anchor[j])
-        i, j = self._cuts
-        values = p, m, s = v[:i], v[i:j], v[j:]  # primal, multipliers, stationarity
+        """Index of the first law that passes the screen at (x, q), or None;
+        the table holds at least one law.  Law 0 is screened alone first."""
         tol_s = _KKT_TOL * max(1.0, float(abs(q).max(initial=0.0)))
-        rejected = np.zeros(len(self._laws), dtype=bool)
-        for (owner, _), bad in zip(self._kinds, (p > _KKT_TOL, m < 0.0, abs(s) > tol_s)):
-            rejected[owner[bad]] = True
-        for k in np.flatnonzero(~rejected):
-            parts = [vals[bounds[k] : bounds[k + 1]] for vals, (_, bounds) in zip(values, self._kinds)]
-            if self.solver._kkt_ok(*parts, q):
-                return int(k)
-        return None
+        if self._screen(self._head, x, tol_s)[0]:
+            return 0
+        if len(self._laws) == 1:
+            return None
+        ok = self._screen(self._rest, x, tol_s)
+        k = int(ok.argmax())
+        return k + 1 if ok[k] else None
 
     def point(self, k, x):
         """(z(x), y(x)) of law k."""
@@ -674,7 +729,8 @@ class _LawTable:
         z = z_k.copy()
         z[cols] += Z @ dx
         y = y_k.copy()
-        y[active] += Y @ dx
+        if len(active):  # the central law 0 has none
+            y[active] += Y @ dx
         return z, y
 
 
@@ -703,88 +759,19 @@ class AdaptiveController:
         self.solvers = {n: ParametricQP(tpl.Q, tpl.G) for n, tpl in templates.items()}
         maps = {n: _bound_map(tpl) for n, tpl in templates.items()}
         self.bound_maps = {n: S for n, (S, _) in maps.items()}
-        self._gains = {n: K for n, (_, K) in maps.items()}
         # horizon -> geometry.ProjectionCuts of F_n, built on its first INFEASIBLE verdict
         self.feasible_sets = {}
-        # horizon -> (Z_n, z0_n) of its central candidate, or None when it has
-        # none; built on the horizon's first visit that reaches the QP path
-        self.candidates = {}
-        # horizon -> (C_n, c_n, D_n), the candidate's KKT residuals as affine
-        # maps of x, built with the candidate
-        self._residual_maps = {}
-        # horizon -> _LawTable of its active-set laws, grown by its OPTIMAL ADMM results
-        self.laws = {n: _LawTable(tpl, self.solvers[n]) for n, tpl in templates.items()}
-
-    def _candidate(self, n):
-        """(Z_n, z0_n) of horizon n's central candidate z(x) = Z_n x + z0_n, or None.
-
-        Z_n = [K_n; 0] puts the unconstrained minimiser in the nominal
-        inputs.  z0_n = [0; M0; a0] takes the feedback gains M0 from one QP
-        solve at the origin and sets each absolute-value variable tightly,
-        to |M0'phi + g| (``CaseNTemplate.central_offset``).  A horizon
-        without such variables needs no origin solve; one whose origin solve
-        is not OPTIMAL has no candidate.  With the candidate, its residual
-        maps (C_n, c_n, D_n) of ``_central_verdict`` are stored.
-        """
-        if n in self.candidates:
-            return self.candidates[n]
-        tpl = self.templates[n]
-        K = self._gains[n]
-        Z = np.zeros((tpl.n_vars, K.shape[1]))
-        Z[: K.shape[0]] = K
-        cand = (Z, np.zeros(tpl.n_vars))
-        if tpl.n_vars > K.shape[0]:
-            out = self.solvers[n].solve(*tpl.parts(np.zeros(K.shape[1])))
-            cand = (Z, tpl.central_offset(out.x_opt)) if out.is_optimal else None
-        self.candidates[n] = cand
-        if cand is not None:
-            n_u = K.shape[0]
-            self._residual_maps[n] = (
-                tpl.G @ Z + tpl._rhs_map,
-                tpl.G @ cand[1] - tpl._h_base,
-                tpl.Q[:n_u, :n_u] @ K + tpl._q_map,
-            )
-        return cand
-
-    def _central_verdict(self, n, x, q):
-        """OPTIMAL outcome at horizon n's central candidate z(x), or None.
-
-        z(x) is accepted only when it passes the solver's own 1e-8 KKT check
-        (``ParametricQP._kkt_ok``) with zero multipliers, so it is then a
-        minimiser of the horizon's QP at (q, h(x)) to the same contract as an
-        ADMM result.  Its residuals are affine in x and come from the maps
-        stored with the candidate, of d columns each:
-        G z(x) - h(x) = C_n x + c_n with C_n = G Z_n + R_n and
-        c_n = G z0_n - h_base, and with y = 0 the stationarity residual
-        Q z(x) + q(x) is D_n x = (Q_uu K_n + q_map) x in the nominal inputs and
-        exactly zero elsewhere, where Q and q vanish.  z(x) itself is formed
-        only once the check passes.
-        """
-        cand = self._candidate(n)
-        if cand is None:
-            return None
-        t0 = time.perf_counter()
-        C, c, D = self._residual_maps[n]
-        solver = self.solvers[n]
-        y = np.zeros(solver.m)
-        if not solver._kkt_ok(C @ x + c, y, D @ x, q):
-            return None
-        Z, z0 = cand
-        z = Z @ x + z0
-        return SolveOutcome(
-            status=SolveStatus.OPTIMAL,
-            x_opt=z,
-            objective=float(0.5 * z @ (solver.Q @ z) + q @ z),
-            y_ineq=y,
-            backend="central",
-            diagnostics={"factorizations": 0, "rho_updates": 0},
-            solve_time=time.perf_counter() - t0,
-        )
+        # horizon -> _LawTable of its affine laws: the central law 0, stored on
+        # the first QP-path visit, then one per OPTIMAL ADMM result
+        self.laws = {n: _LawTable(tpl, self.solvers[n], maps[n][1]) for n, tpl in templates.items()}
 
     def _law_verdict(self, n, x, q):
-        """OPTIMAL outcome from horizon n's first stored law that meets the
-        1e-8 KKT contract at x (``_LawTable.first``), or None."""
+        """OPTIMAL outcome from horizon n's first law that passes the screen
+        at x (``_LawTable.first``), or None; the horizon's first call
+        stores its central law."""
         laws = self.laws[n]
+        if laws.central is None:
+            laws.add_central()
         if not laws:
             return None
         t0 = time.perf_counter()
@@ -849,32 +836,38 @@ class AdaptiveController:
         facets of its feasible set F_n: a state outside one by more than the
         margin is INFEASIBLE at once (``backend="facets"``, the facet's
         multiplier as certificate).  Every other state, including those
-        within the margin, tries the horizon's central candidate
-        z(x) = Z_n x + z0_n: if it meets the 1e-8 KKT contract with zero
-        multipliers it is the OPTIMAL result (``backend="central"``,
-        ``iterations=0``, objective 1/2 z'Qz + q'z).  Otherwise the horizon
-        tries its stored active-set laws in storage order, and the first
-        whose point meets the same contract at x is the OPTIMAL result
-        (``backend="law"``, ``iterations=0``).  Only then does the horizon
-        run the ADMM solve with its HiGHS-confirmed infeasibility path
-        (``backend="sparse"``); an OPTIMAL ADMM result stores its law
-        (``_admm_verdict``) until the horizon holds _MAX_LAWS of them, and
-        past that cap ADMM results are returned without one.  A law returns
+        within the margin, tries the horizon's affine laws (``_LawTable``)
+        in storage order, and the first whose point and multipliers meet
+        the 1e-8 KKT contract at x is the OPTIMAL result (``backend="law"``,
+        ``iterations=0``, objective 1/2 z'Qz + q'z, ``diagnostics["law"]``
+        the law's index).  Law 0 is the central law z0_n + [K_n; 0] x with
+        zero multipliers, stored on the horizon's first visit to this path
+        (none when its origin solve fails).  Only then does the horizon run
+        the ADMM solve with its HiGHS-confirmed infeasibility path
+        (``backend="sparse"``), and an OPTIMAL result stores its law until
+        the horizon holds _MAX_LAWS of them, law 0 included; past that cap
+        ADMM results are returned without one.  A law returns
         its own ADMM result bit for bit at its own state, so a revisited
         state settles exactly as it did the first time.
 
-        The first INFEASIBLE verdict of a horizon builds its facets, which
-        depend only on the horizon's QP, and the candidate, built on the
-        horizon's first visit to this path, does not depend on x.  The laws
-        do depend on which states came first, and the optimal gains, even
-        the optimal inputs, are not unique: a state that a law settles can
-        get a different point within the contract than ADMM would give.
-        So the statuses, the certificates and N* (outside ties within the
-        contract's tolerance) never depend on the order in which states
-        were visited, and every OPTIMAL point meets the contract; the bits
-        of an OPTIMAL point may.
+        Facets and law 0 do not depend on x.  The other laws depend on which
+        states came first, and the optimal gains, even the optimal inputs,
+        are not unique: a state that a law settles can get a different
+        point within the contract than ADMM would give.  So the statuses,
+        the certificates and N* (outside ties within the contract's
+        tolerance) never depend on the order in which states were visited,
+        and every OPTIMAL point meets the contract; the bits of an OPTIMAL
+        point may.
+
+        Raises ``DimensionMismatchError`` when x_t does not have d entries
+        and ``ValueError`` when an entry is not finite, before any horizon
+        is touched.
         """
         x = np.asarray(x_t, dtype=float).reshape(-1)
+        if len(x) != self.sys.d:
+            raise DimensionMismatchError("state has %d entries, expected %d" % (len(x), self.sys.d))
+        if not all(map(math.isfinite, x)):
+            raise ValueError("state %s is not finite" % x)
         per = []
         best = None  # (J, n, outcome)
         failed = False
@@ -889,13 +882,9 @@ class AdaptiveController:
                 continue
             out = self._facet_verdict(n, x)
             if out is None:
-                # h(x) is formed only for ADMM: the central and law verdicts read q alone
+                # h(x) is formed only for ADMM: the law verdicts read q alone
                 q = tpl.q(x)
-                out = (
-                    self._central_verdict(n, x, q)
-                    or self._law_verdict(n, x, q)
-                    or self._admm_verdict(n, x)
-                )
+                out = self._law_verdict(n, x, q) or self._admm_verdict(n, x)
                 if out.status is SolveStatus.INFEASIBLE and n not in self.feasible_sets:
                     self.feasible_sets[n] = projection_cuts(tpl.G, tpl._rhs_map, tpl._h_base)
                     out = self._facet_verdict(n, x) or out

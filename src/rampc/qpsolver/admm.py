@@ -274,13 +274,13 @@ class ParametricQP:
 
         It takes the residuals, not x: ``primal`` is G x - h and
         ``stationarity`` is Q x + q + G'y (entries left out are exactly
-        zero).  The ADMM loop forms them from its CSR products; a
-        controller's central candidate and its active-set laws form them
-        from affine maps of the state (``AdaptiveController._central_verdict``,
-        ``controller._LawTable``).
+        zero).  The ADMM loop forms them from its CSR products.  A
+        controller's law from an ADMM result (``controller._LawTable``) is
+        checked here once, at that result's state; wherever a law is tried,
+        the table's screen applies the same bounds entry by entry.
         """
         # ndarray methods, not np.max: the wrappers nearly double the cost of
-        # these small reductions, which run on every settled central step
+        # these small reductions, which run at every ADMM check
         if float(primal.max()) > _KKT_TOL:
             return False
         if float(y.min(initial=0.0)) < 0.0:

@@ -37,20 +37,19 @@ class SolveOutcome:
     "highs" for the LP layer, "sparse" for the ADMM solver, "facets" for
     an INFEASIBLE verdict a controller read off a stored facet of a
     horizon's feasible set (``diagnostics["facet"]`` is its index) and
-    "central" for an OPTIMAL result a controller took from a horizon's
-    central candidate, the unconstrained minimiser of its cost with a fixed
-    tail, after that point passed the same 1e-8 KKT check with zero
-    multipliers (``iterations`` 0, ``y_ineq`` all zero), and "law" for an
-    OPTIMAL result a controller took from a horizon's stored active-set law,
-    the affine point and multipliers of an earlier ADMM result's active set,
-    after they passed the same check (``iterations`` 0,
-    ``diagnostics["law"]`` is the law's index).  The check's residuals come
-    from the solver's CSR products for an ADMM result and from affine maps
-    of the state for a "central" or "law" one.
+    "law" for an OPTIMAL result a controller took from one of a horizon's
+    affine laws, after its point and multipliers met the same 1e-8 KKT
+    contract (``iterations`` 0, ``diagnostics["law"]`` is the law's index).
+    The central law, law 0 of a horizon that has one, is the
+    unconstrained minimiser of the cost in the nominal inputs with a fixed
+    tail and ``y_ineq`` all zero; the others are the affine points and
+    multipliers of earlier ADMM results' active sets.  The contract's residuals come from the solver's CSR
+    products for an ADMM result and from affine maps of the state for a
+    "law" one.
     ``polished`` is always False: no solver refines its result after
     convergence.  The field stays because the benchmark's tracing
     (``perfbench/tracing.py``) reads it.  Every ADMM solve (and every
-    "facets" or "central" outcome, with zeros) fills ``diagnostics`` with
+    "facets" or "law" outcome, with zeros) fills ``diagnostics`` with
     ``factorizations`` (factor-cache misses during this solve) and
     ``rho_updates`` (step-size changes during this solve).
     """

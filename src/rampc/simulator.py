@@ -274,10 +274,10 @@ REFERENCE_TIMES_S = {1: 0.0026, 2: 0.0023, 3: 0.0038, 4: 0.0056, 5: 0.0078}
 def benchmark(sys: UncertainSystem, cfg: MPCConfig, horizons, reps: int, x0=None) -> dict:
     """Per-horizon online times (template-cached build + solve), warm cache.
 
-    Timing covers one horizon's QP path: assembling the state-dependent
+    Timing covers one horizon's ADMM path: assembling the state-dependent
     QP data and solving it with ``ParametricQP.solve``.  The controller's
-    central candidate, which settles most closed-loop horizons without that
-    solve, is not timed here.  Problem-file
+    affine laws, which settle most closed-loop horizons without that solve
+    (the central law 0 most of all), are not timed here.  Problem-file
     parsing and template/factorization preparation are excluded (one-time,
     reported separately).  Each rep times every horizon in turn, so a spell
     of load on the machine slows all horizons alike instead of the one whose
@@ -323,7 +323,7 @@ def benchmark(sys: UncertainSystem, cfg: MPCConfig, horizons, reps: int, x0=None
     return {
         "timing_includes": "QP data assembly + ParametricQP.solve of each horizon",
         "timing_excludes": "problem parsing, template and factorization preparation, "
-        "the controller's central candidate",
+        "the controller's affine laws (central law 0 and active-set laws)",
         "preparation_time_s": prep_time,
         "x0": x.tolist(),
         "kernel": active_kernel(),

@@ -119,12 +119,17 @@ def test_unstable_gain_exits_3(tmp_problem_file, tmp_path):
     assert rc == 3
 
 
-def test_bad_x0_exits_2(scalar_file, tmp_path):
+@pytest.mark.parametrize("x0", ["1,2,3", "nan,0", "inf,0"])
+def test_bad_x0_exits_2(x0, tmp_path, capsys):
+    # a wrong component count or a component that is not finite
+    out = tmp_path / "x.csv"
     rc = main(
-        ["simulate", "--problem", str(scalar_file), "--x0", "1,2,3", "--steps", "2",
-         "--seed", "0", "--out", str(tmp_path / "x.csv")]
+        ["simulate", "--problem", "default", "--x0", x0, "--steps", "2",
+         "--seed", "0", "--out", str(out)]
     )
     assert rc == 2
+    assert "--x0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -178,16 +183,17 @@ def test_rollout_cmd(scalar_file, tmp_path):
 
 
 def test_numerical_failure_exits_4(scalar_file, tmp_path, monkeypatch):
+    from rampc.controller import _LawTable
     from rampc.qpsolver import SolveOutcome, SolveStatus
     from rampc.qpsolver.admm import ParametricQP
 
-    # the whole solve layer fails: no ADMM solve succeeds and no point, the
-    # controller's central candidates included, passes the KKT check
+    # the whole solve layer fails: no ADMM solve succeeds and no law, the
+    # controller's central law 0 included, passes the KKT screen
     monkeypatch.setattr(
         ParametricQP, "solve",
         lambda self, q, h_ineq: SolveOutcome(status=SolveStatus.NUMERICAL_FAILURE),
     )
-    monkeypatch.setattr(ParametricQP, "_kkt_ok", lambda self, primal, y, stationarity, q: False)
+    monkeypatch.setattr(_LawTable, "first", lambda self, x, q: None)
     rc = main(
         ["simulate", "--problem", str(scalar_file), "--x0", "0.1", "--steps", "2",
          "--seed", "0", "--out", str(tmp_path / "x.csv")]

@@ -17,6 +17,7 @@ from rampc.controller import (
 )
 from rampc.errors import (
     AllHorizonsInfeasibleError,
+    DimensionMismatchError,
     HistoryLengthMismatchError,
     VertexUnstableError,
 )
@@ -442,6 +443,27 @@ class TestAdaptive:
             tpl = own_controller.templates[r.N_t]
             assert verify_farkas(tpl.G, tpl.parts(x)[1], None, None, r.farkas), r.N_t
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    def test_solve_rejects_a_state_that_is_not_a_finite_d_vector(
+        self, warm, default_problem, default_cfg
+    ):
+        # the same errors on a fresh controller and on one whose horizons have
+        # built their facets (there a NaN state used to come back INFEASIBLE
+        # with a NaN gap), raised before any horizon is touched
+        ctl = AdaptiveController(default_problem.system, default_cfg)
+        if warm:
+            assert ctl.solve(np.array([50.0, 50.0])).status is SolveStatus.INFEASIBLE
+            assert set(ctl.feasible_sets) == set(ctl.templates)
+        tables = [(t.central, len(t)) for t in ctl.laws.values()]
+        for bad in ([np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]):
+            with pytest.raises(ValueError, match="not finite"):
+                ctl.solve(np.array(bad))
+        for bad in ([1.0], [1.0, 2.0, 3.0], np.zeros((2, 2))):
+            with pytest.raises(DimensionMismatchError):
+                ctl.solve(bad)
+        assert [(t.central, len(t)) for t in ctl.laws.values()] == tables
+        assert set(ctl.feasible_sets) == (set(ctl.templates) if warm else set())
+
     def test_monotone_nesting_in_bound(self, default_problem, default_cfg):
         # shrinking wtilde_max never breaks feasibility of a feasible case-N
         sys = default_problem.system
@@ -474,9 +496,9 @@ def _exhaustive_reference(ctl, x):
     """Selection without pruning: every horizon in ascending order, strict < on cost.
 
     Each horizon takes the controller's per-horizon rule without the stored
-    facets: its central candidate when that passes the KKT check, else its
-    first stored law that passes it, else ADMM, whose OPTIMAL result stores
-    its law in the controller as ``solve`` does.  Returns (status, N*, J*,
+    facets: its first law (the central law 0 first) that passes the KKT
+    check, else ADMM, whose OPTIMAL result stores its law in the controller
+    as ``solve`` does.  Returns (status, N*, J*,
     applied input, {horizon: cost of every feasible horizon}, {horizon:
     solve outcome of every horizon}).
     """
@@ -487,9 +509,7 @@ def _exhaustive_reference(ctl, x):
     for n in sorted(ctl.templates):
         tpl = ctl.templates[n]
         q = tpl.q(x)
-        out = outcomes[n] = (
-            ctl._central_verdict(n, x, q) or ctl._law_verdict(n, x, q) or ctl._admm_verdict(n, x)
-        )
+        out = outcomes[n] = ctl._law_verdict(n, x, q) or ctl._admm_verdict(n, x)
         if out.status is SolveStatus.OPTIMAL:
             J = out.objective + tpl.constant(x)
             costs[n] = J
@@ -613,15 +633,15 @@ class TestPruning:
     def test_second_grid_pass_iteration_budget(self, monkeypatch, bank_cases):
         # the first pass stored the law of every OPTIMAL ADMM result, and a
         # law returns its own result at its own state: a second pass of both
-        # banks settles every solved horizon by a facet, a central candidate
-        # or a law, with no ADMM iteration, and each law outcome is a 1e-8
-        # KKT point
+        # banks settles every solved horizon by a facet or a law, the
+        # central law 0 included, with no ADMM iteration, and each law
+        # outcome is a 1e-8 KKT point
         for ctl, cases in bank_cases.values():
             calls = _count_qp_solves(monkeypatch, ctl)
             laws = _recording_laws(monkeypatch, ctl)
             for x, _, _ in cases["grid"]:
                 for r in ctl.solve(x).per_horizon:
-                    assert r.backend in ({None} if r.pruned else {"facets", "central", "law"}), (x, r)
+                    assert r.backend in ({None} if r.pruned else {"facets", "law"}), (x, r)
             assert not any(calls.values()), calls
             assert laws
             for n, x, q, out in laws:
@@ -835,7 +855,7 @@ class TestFeasibleSetFacets:
 
 
 # ---------------------------------------------------------------------------
-# central candidates settle unconstrained horizons
+# the central law 0 settles unconstrained horizons
 # ---------------------------------------------------------------------------
 
 
@@ -852,28 +872,48 @@ def _kkt_violation(tpl, q, h, z, y):
     return max(primal, sign, stationarity)
 
 
+def _law0(ctl, n):
+    """(Z, z0) of horizon n's central law 0, z(x) = Z x + z0 with
+    Z = [K_n; 0], stored first if the horizon has not reached the QP path."""
+    table = ctl.laws[n]
+    if table.central is None:
+        table.add_central()
+    assert table.central
+    x_0, z0, cols, K, *_ = table._laws[0]
+    assert not np.any(x_0)
+    Z = np.zeros((len(z0), len(x_0)))
+    Z[cols] = K
+    return Z, z0
+
+
+def _settled_by_law0(ctl, n, out):
+    """Whether ``out`` is horizon n's outcome from its central law 0."""
+    return out is not None and ctl.laws[n].central and out.diagnostics["law"] == 0
+
+
 @pytest.fixture(scope="module")
 def central_run(default_problem, default_cfg):
     """A fresh controller over the Monte-Carlo bank: 50 steps from each
     acceptance initial state, with the bank's realizations, then each
     initial state solved once more.
 
-    Returns (controller, central outcomes as [(n, x, q, h, outcome)],
-    ParametricQP.solve calls of each closed-loop step).
+    Returns (controller, outcomes of the central law 0 as
+    [(n, x, q, h, outcome)], ParametricQP.solve calls of each closed-loop
+    step).
     """
     ctl = AdaptiveController(default_problem.system, default_cfg)
     central = []
     calls = [0]
     with pytest.MonkeyPatch.context() as mp:
-        verdict = ctl._central_verdict
+        verdict = ctl._law_verdict
 
         def recorded(n, x, q):
             out = verdict(n, x, q)
-            if out is not None:
+            if _settled_by_law0(ctl, n, out):
                 central.append((n, x, q, ctl.templates[n].parts(x)[1], out))
             return out
 
-        mp.setattr(ctl, "_central_verdict", recorded)
+        mp.setattr(ctl, "_law_verdict", recorded)
         for solver in ctl.solvers.values():
             def counted(q, h, solve=solver.solve):
                 calls[0] += 1
@@ -904,13 +944,13 @@ def central_run(default_problem, default_cfg):
 
 class TestCentral:
     def test_central_outcomes_meet_kkt_contract_and_match_admm(self, central_run):
-        # every central outcome is a 1e-8 KKT point of its horizon's QP, and
+        # every law-0 outcome is a 1e-8 KKT point of its horizon's QP, and
         # its nominal inputs are those an ADMM solve of the same (q, h) finds
         ctl, central, _ = central_run
         assert len(central) >= len(X0_SET) * CLOSED_LOOP_STEPS // 2
         for n, x, q, h, out in central:
             tpl = ctl.templates[n]
-            assert out.status is SolveStatus.OPTIMAL and out.backend == "central"
+            assert out.status is SolveStatus.OPTIMAL and out.backend == "law"
             assert out.iterations == 0 and not np.any(out.y_ineq)
             assert _kkt_violation(tpl, q, h, out.x_opt, out.y_ineq) <= 1e-8, (n, x)
             z = out.x_opt
@@ -923,7 +963,7 @@ class TestCentral:
 
     def test_qp_solver_runs_on_at_most_a_tenth_of_closed_loop_steps(self, central_run):
         # the unconstrained horizons of the closed loop need no ADMM solve;
-        # the origin solves that build the candidates are counted too
+        # the origin solves that build the central laws are counted too
         _, _, per_step = central_run
         assert len(per_step) == len(X0_SET) * CLOSED_LOOP_STEPS
         with_solve = sum(1 for c in per_step if c)
@@ -932,13 +972,13 @@ class TestCentral:
     def test_unconstrained_minimiser_outside_a_row_reaches_admm(
         self, monkeypatch, default_problem, default_cfg
     ):
-        # on the ray x = s (1, 0) the candidate's row values are affine in s;
-        # just below the first row it crosses the state settles centrally,
+        # on the ray x = s (1, 0) the row values of law 0's point are affine
+        # in s; just below the first row it crosses, law 0 settles the state,
         # just above it the longest horizon (never pruned) runs ADMM
         ctl = AdaptiveController(default_problem.system, default_cfg)
         n = max(ctl.templates)
         tpl = ctl.templates[n]
-        Z, z0 = ctl._candidate(n)
+        Z, z0 = _law0(ctl, n)
         v = np.array([1.0, 0.0])
         slope = tpl.G @ Z @ v + tpl._rhs_map @ v
         offset = tpl.G @ z0 - tpl._h_base
@@ -947,14 +987,16 @@ class TestCentral:
         calls = _count_qp_solves(monkeypatch, ctl)
         inside, outside = 0.999 * s_cross * v, 1.001 * s_cross * v
         assert np.max(tpl.G @ (Z @ inside + z0) - tpl.parts(inside)[1]) <= 1e-8
-        assert ctl.solve(inside).is_feasible and calls[n] == 0
+        sol = ctl.solve(inside)
+        assert sol.is_feasible and sol.per_horizon[-1].backend == "law" and calls[n] == 0
+        assert ctl.laws[n].first(inside, tpl.q(inside)) == 0
         assert np.max(tpl.G @ (Z @ outside + z0) - tpl.parts(outside)[1]) > 1e-8
-        assert ctl._central_verdict(n, outside, tpl.parts(outside)[0]) is None
+        assert ctl._law_verdict(n, outside, tpl.q(outside)) is None
         sol = ctl.solve(outside)
         assert sol.is_feasible and calls[n] == 1
 
     def test_verdicts_do_not_depend_on_visit_order(self, default_problem, default_cfg):
-        # central and ADMM states alike, with the candidates built at
+        # law-0 and ADMM states alike, with the central laws built at
         # different visits in the two orders
         states = [np.asarray(x0) for x0 in X0_SET] + _grid_states(default_problem)[::7]
         real = sample_realization(default_problem.system, 10, seed=_bank_seed(0))
@@ -996,18 +1038,21 @@ class TestCentral:
         monkeypatch.setattr(solver, "solve", failing_at_origin)
         x = np.array([1.0, 2.0])
         sol = ctl.solve(x)
-        assert ctl.candidates[n] is None and len(calls) == 2  # origin, then x
+        assert ctl.laws[n].central is False and len(calls) == 2  # origin, then x
         tpl = ctl.templates[n]
         q, h = tpl.parts(x)
         ref = default_controller.solvers[n].solve(q, h)
         assert sol.N_star == n and sol.J_star == ref.objective + tpl.constant(x)
+        # no law 0 at the origin: the table's only law is that of the ADMM result at x
         assert sol.per_horizon[-1].backend == "sparse" and len(ctl.laws[n]) == 1
+        assert np.array_equal(ctl.laws[n]._laws[0][0], x)
         # the repeat visit makes no second origin solve and no ADMM solve:
         # the stored law of the first visit's result settles x, bit for bit
         again = ctl.solve(x)
         assert len(calls) == 2 and again.per_horizon[-1].backend == "law"
         assert again.J_star == sol.J_star and np.array_equal(again.u_bar_star, sol.u_bar_star)
         out = ctl._law_verdict(n, x, q)
+        assert out.diagnostics["law"] == 0 and ctl.laws[n].central is False
         assert out.iterations == 0 and np.array_equal(out.x_opt, ref.x_opt)
         assert _kkt_violation(tpl, q, h, out.x_opt, out.y_ineq) <= 1e-8
 
@@ -1015,8 +1060,8 @@ class TestCentral:
     def test_verdict_equals_dense_contract_on_uniform_states(
         self, bank, default_problem, default_controller, baseline_controller
     ):
-        # the verdict from the affine residual maps equals the contract
-        # recomputed densely on z = Z x + z0 with zero multipliers
+        # law 0's verdict from its affine residual entries equals the
+        # contract recomputed densely on z = Z x + z0 with zero multipliers
         ctl = default_controller if bank == "adaptive" else baseline_controller
         X = default_problem.system.X
         lo, hi = X.bounding_box()
@@ -1025,22 +1070,25 @@ class TestCentral:
             xs = rng.uniform(lo, hi, size=(8000, X.dim))
             xs = xs[np.all(xs @ X.H.T <= X.h, axis=1)][:5000]
             assert len(xs) == 5000
-            Z, z0 = ctl._candidate(n)
+            Z, z0 = _law0(ctl, n)
             y = np.zeros(tpl.G.shape[0])
             accepted = 0
             for x in xs:
                 q, h = tpl.parts(x)
-                central = ctl._central_verdict(n, x, q) is not None
+                central = bool(_settled_by_law0(ctl, n, ctl._law_verdict(n, x, q)))
                 dense = _kkt_violation(tpl, q, h, Z @ x + z0, y) <= 1e-8
                 assert central == dense, (bank, n, x)
                 accepted += central
             assert 0 < accepted < len(xs), (bank, n, accepted)
 
-    def test_central_horizons_without_origin_solve(self, default_controller):
-        # N_t = 1 has no feedback or absolute-value variables: its candidate
-        # is the unconstrained gain alone
-        Z, z0 = default_controller._candidate(1)
-        np.testing.assert_array_equal(Z, default_controller._gains[1])
+    def test_central_horizons_without_origin_solve(self, monkeypatch, default_problem, default_cfg):
+        # N_t = 1 has no feedback or absolute-value variables: its law 0 is
+        # the unconstrained gain alone, stored without an origin solve
+        ctl = AdaptiveController(default_problem.system, default_cfg)
+        calls = _count_qp_solves(monkeypatch, ctl)
+        Z, z0 = _law0(ctl, 1)
+        assert calls[1] == 0 and len(ctl.laws[1]) == 1
+        np.testing.assert_array_equal(Z, controller._bound_map(ctl.templates[1])[1])
         assert not np.any(z0)
 
 
@@ -1050,13 +1098,16 @@ class TestCentral:
 
 
 def _admm_only_reference(ctl, x):
-    """Every horizon by its central candidate, else by ``ParametricQP.solve``:
-    no facets, no laws, and nothing stored.  Returns ({horizon: status},
-    {horizon: (cost, applied input) of every OPTIMAL horizon})."""
+    """Every horizon by its central law 0, else by ``ParametricQP.solve``:
+    no facets, no other laws, and nothing stored.  Returns ({horizon:
+    status}, {horizon: (cost, applied input) of every OPTIMAL horizon})."""
     statuses, optimal = {}, {}
     for n, tpl in ctl.templates.items():
         q, h = tpl.parts(x)
-        out = ctl._central_verdict(n, x, q) or ctl.solvers[n].solve(q, h)
+        # the class's verdict, past any recording patched onto the instance
+        out = AdaptiveController._law_verdict(ctl, n, x, q)
+        if not _settled_by_law0(ctl, n, out):
+            out = ctl.solvers[n].solve(q, h)
         statuses[n] = out.status
         if out.is_optimal:
             optimal[n] = (out.objective + tpl.constant(x), tpl.extract(out.x_opt)[0][0])
@@ -1119,8 +1170,8 @@ class TestLaws:
             assert out.objective == 0.5 * out.x_opt @ (ctl.solvers[n].Q @ out.x_opt) + q @ out.x_opt
 
     def test_table_stops_growing_at_the_cap(self, monkeypatch, default_problem, default_cfg):
-        # at _MAX_LAWS a horizon stores no further law, and ADMM results are
-        # returned as before: the same bits on every visit
+        # at _MAX_LAWS, law 0 included, a horizon stores no further law, and
+        # ADMM results are returned as before: the same bits on every visit
         monkeypatch.setattr(controller, "_MAX_LAWS", 2)
         ctl = AdaptiveController(default_problem.system, default_cfg)
         calls = _count_qp_solves(monkeypatch, ctl)
@@ -1142,15 +1193,17 @@ class TestLaws:
         assert admm > 0
 
     def test_law_at_its_own_state_returns_the_admm_result(self, default_problem, default_cfg):
-        # each stored law reproduces, at its own state, the ADMM result it
-        # came from bit for bit, and the first law that passes there is itself
+        # each law stored from an ADMM result (every law after the central
+        # law 0) reproduces, at its own state, that result bit for bit, and
+        # the first law that passes there is itself
         ctl = AdaptiveController(default_problem.system, default_cfg)
         for x in _grid_states(default_problem):
             ctl.solve(x)
         checked = 0
         for n, table in ctl.laws.items():
             tpl = ctl.templates[n]
-            for k, (x_k, z_k, *_rest) in enumerate(table._laws):
+            assert table.central
+            for k, (x_k, z_k, *_rest) in enumerate(table._laws[1:], start=1):
                 q, h = tpl.parts(x_k)
                 ref = ctl.solvers[n].solve(q, h)
                 out = ctl._law_verdict(n, x_k, q)
@@ -1159,6 +1212,65 @@ class TestLaws:
                 assert np.array_equal(out.y_ineq, ref.y_ineq) and out.objective == ref.objective
                 checked += 1
         assert checked > 0
+
+    @pytest.mark.parametrize("bank", ["adaptive", "baseline"])
+    def test_screen_equals_kkt_check_on_every_law(self, bank, bank_cases, default_problem):
+        # after a grid pass, at uniform states, the screen's verdict on every
+        # stored law equals ParametricQP._kkt_ok on that law's kept residual
+        # entries, each offset + sum_j slope_j (x_j - x_k,j), and the law
+        # ``first`` picks is the first that the screen passes
+        ctl, _ = bank_cases[bank]
+        X = default_problem.system.X
+        lo, hi = X.bounding_box()
+        xs = np.random.default_rng(7).uniform(lo, hi, size=(600, X.dim))
+        xs = xs[np.all(xs @ X.H.T <= X.h, axis=1)][:300]
+        assert len(xs) == 300
+        passed = failed = 0
+        for n, table in ctl.laws.items():
+            solver = ctl.solvers[n]
+            for x in xs:
+                q = ctl.templates[n].q(x)
+                tol_s = 1e-8 * max(1.0, np.max(np.abs(q)))
+                screen = np.concatenate([table._screen(table._head, x, tol_s), table._screen(table._rest, x, tol_s)])
+                assert len(screen) == len(table) > 1, (bank, n)
+                for k, ((x_k, *_), entries) in enumerate(zip(table._laws, table._entries)):
+                    residuals = []
+                    for offset, slope in entries:
+                        v = offset
+                        for j in range(len(x)):
+                            v = v + slope[:, j] * (x[j] - x_k[j])
+                        residuals.append(v)
+                    assert screen[k] == solver._kkt_ok(*residuals, q), (bank, n, k, x)
+                passing = np.flatnonzero(screen)
+                assert table.first(x, q) == (int(passing[0]) if passing.size else None), (bank, n, x)
+                passed += passing.size
+                failed += len(screen) - passing.size
+        assert passed > 0 and failed > 0, (passed, failed)
+
+    def test_screen_applies_the_contract_entry_by_entry(self, default_controller):
+        # laws of one constant entry per residual, at and just past each
+        # bound: the screen agrees with ParametricQP._kkt_ok, and a NaN fails it
+        solver = default_controller.solvers[2]
+        table = controller._LawTable(default_controller.templates[2], solver, None)
+        x, q = np.array([0.5, -1.0]), np.full(3, 4.0)
+        tol_s = 1e-8 * 4.0
+        cases = [
+            (p, m, s)
+            for p in (1e-8, np.nextafter(1e-8, 1.0), -1.0, np.nan)
+            for m in (0.0, -0.0, -5e-324, 2.0, np.nan)
+            for s in (tol_s, -tol_s, np.nextafter(tol_s, 1.0), -np.nextafter(tol_s, 1.0), 0.0, np.nan)
+        ]
+        flat = np.zeros((1, 2))
+        for p, m, s in cases:
+            entries = [(np.array([v]), flat + 1.0) for v in (p, m, s)]
+            table._append((np.array([0.5, -1.0]),) + (None,) * 6, entries)
+        screen = np.concatenate([table._screen(table._head, x, tol_s), table._screen(table._rest, x, tol_s)])
+        for passed, (p, m, s) in zip(screen, cases):
+            expected = not np.isnan([p, m, s]).any() and solver._kkt_ok(
+                np.array([p]), np.array([m]), np.array([s]), q
+            )
+            assert passed == expected, (p, m, s)
+        assert 0 < screen.sum() < len(cases)
 
     def test_margins_match_their_definition(self, default_problem, default_controller, own_controller):
         sys = default_problem.system

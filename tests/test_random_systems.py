@@ -9,12 +9,12 @@ every INFEASIBLE horizon must carry a Farkas certificate that
 the loop is feasible it stays feasible, and each optimal cost is at most
 the candidate tail cost of the step before (the descent check).
 
-Every OPTIMAL result, whether settled by its central candidate
-(``backend="central"``), by a stored active-set law (``backend="law"``) or
-solved by ``ParametricQP``, meets the 1e-8 KKT
+Every OPTIMAL result, whether settled by a stored law (``backend="law"``:
+the central law 0, with zero multipliers, or an active-set law) or solved
+by ``ParametricQP``, meets the 1e-8 KKT
 contract, recomputed here from the template's dense Q and G (the solver
 checks it on its sparse copies); a horizon whose origin QP was not OPTIMAL
-has no candidate and is never settled centrally; and N* equals that of an
+has no central law and is never settled by one; and N* equals that of an
 ADMM-only reference (every horizon solved by ``ParametricQP``) wherever the
 reference's winning cost is apart from every other horizon's by more than
 1e-8 relative.
@@ -49,19 +49,16 @@ def test_closed_loop_on_random_systems(seed, radii):
         assume(False)  # the hull screen or the invariant set rejected this draw
     cfg = MPCConfig(P=P, R=R, N=3, terminal=term, bound=net_additive_bound(sys))
     ctl = AdaptiveController(sys, cfg)
-    central, laws = [], []
+    laws = []
+    verdict = ctl._law_verdict
 
-    def recording(verdict, into):
-        def recorded(n, x, q):
-            out = verdict(n, x, q)
-            if out is not None:
-                into.append((n, q, ctl.templates[n].parts(x)[1], out))
-            return out
+    def recorded(n, x, q):
+        out = verdict(n, x, q)
+        if out is not None:
+            laws.append((n, q, ctl.templates[n].parts(x)[1], out))
+        return out
 
-        return recorded
-
-    ctl._central_verdict = recording(ctl._central_verdict, central)
-    ctl._law_verdict = recording(ctl._law_verdict, laws)
+    ctl._law_verdict = recorded
     real = sample_realization(sys, STEPS, seed=seed)
     A_true, B_true = real.A_true(sys), real.B_true(sys)
     lo, hi = sys.X.bounding_box()
@@ -79,13 +76,11 @@ def test_closed_loop_on_random_systems(seed, radii):
             if r.status is SolveStatus.INFEASIBLE:
                 tpl = ctl.templates[r.N_t]
                 assert verify_farkas(tpl.G, tpl.parts(x)[1], None, None, r.farkas), (t, x, r.N_t)
-        for n, q, h, out in central:
-            assert ctl.candidates[n] is not None and out.backend == "central", (t, x, n)
-            _assert_kkt_contract(ctl.templates[n], q, h, out, (t, x, n))
         for n, q, h, out in laws:
             assert len(ctl.laws[n]) > 0 and out.backend == "law" and out.iterations == 0, (t, x, n)
+            if ctl.laws[n].central and out.diagnostics["law"] == 0:
+                assert not np.any(out.y_ineq), (t, x, n)
             _assert_kkt_contract(ctl.templates[n], q, h, out, (t, x, n))
-        central.clear()
         laws.clear()
         _check_against_admm_only(ctl, x, sol)
         if not sol.is_feasible:
@@ -111,11 +106,13 @@ def test_closed_loop_on_random_systems(seed, radii):
         for n, q, h, out in laws:
             _assert_kkt_contract(ctl.templates[n], q, h, out, (x, n))
         laws.clear()
-    for n, cand in ctl.candidates.items():
-        # a candidate exists exactly when the horizon's origin QP is OPTIMAL
+    for n, table in ctl.laws.items():
+        # a central law 0 exists exactly when the horizon's origin QP is OPTIMAL
+        if table.central is None:
+            continue  # the horizon never reached the QP path
         tpl = ctl.templates[n]
         origin = ctl.solvers[n].solve(*tpl.parts(np.zeros(sys.d)))
-        assert (cand is None) == (origin.status is not SolveStatus.OPTIMAL), n
+        assert table.central == (origin.status is SolveStatus.OPTIMAL), n
 
 
 def _assert_kkt_contract(tpl, q, h, out, where):

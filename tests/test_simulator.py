@@ -172,17 +172,18 @@ def test_benchmark_schema(default_problem, default_cfg):
 
 def test_roa_refuses_numerical_failures(quiet_scalar, monkeypatch):
     from rampc.errors import SolverNumericalError
+    from rampc.controller import _LawTable
     from rampc.qpsolver import SolveOutcome, SolveStatus
     from rampc.qpsolver.admm import ParametricQP
 
     prob, cfg = quiet_scalar
-    # the whole solve layer fails: no ADMM solve succeeds and no point, the
-    # controller's central candidates included, passes the KKT check
+    # the whole solve layer fails: no ADMM solve succeeds and no law, the
+    # controller's central law 0 included, passes the KKT screen
     monkeypatch.setattr(
         ParametricQP, "solve",
         lambda self, q, h_ineq: SolveOutcome(status=SolveStatus.NUMERICAL_FAILURE),
     )
-    monkeypatch.setattr(ParametricQP, "_kkt_ok", lambda self, primal, y, stationarity, q: False)
+    monkeypatch.setattr(_LawTable, "first", lambda self, x, q: None)
     with pytest.raises(SolverNumericalError):
         estimate_roa(prob.system, cfg, 3)
 
