@@ -94,9 +94,9 @@ def _trace_run(args, run):
     """Shared body of ``simulate`` and ``rollout``: one run written as a CSV trace."""
     _require_positive(args, "steps")
     path, prob = _load(args)
+    x0 = _parse_x0(args.x0, prob.d)
     cfg = config_from_problem(prob)
     seed = args.seed if args.seed is not None else prob.default_seed
-    x0 = _parse_x0(args.x0, prob.d)
     manifest = make_manifest(
         args.command, path, seed, prob.source,
         _flags_dict(args, ["x0", "steps", "times"]),

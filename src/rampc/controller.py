@@ -19,13 +19,14 @@ exceed the best cost so far; a skipped horizon could not have won, so the
 selection is the same as solving every horizon.  Each horizon's feasible set
 F_n = {x : exists z, G z <= h_base - R x} does not depend on x; on the
 horizon's first INFEASIBLE verdict its facets are computed once by support
-LPs (``geometry.projection_cuts``, exact in 2-d) and stored with their LP
-multipliers, and from then on a state outside a stored facet by more than a
-1e-7 margin is settled INFEASIBLE in microseconds, with that facet's
-multiplier as its Farkas certificate.  A horizon that is neither pruned nor
-settled by a facet tries its affine laws (``_LawTable``): the optimiser is
-piecewise affine in x, and each law is one piece, a point z(x) and
-multipliers y(x) affine in x whose KKT residuals are affine in x as well.
+LPs (``geometry.projection_cuts``, exact in every dimension, up to its LP
+cap) and stored with their LP multipliers, and from then on a state
+outside a stored facet by more than a 1e-7 margin is settled INFEASIBLE in
+microseconds, with that facet's multiplier as its Farkas certificate.  A
+horizon that is neither pruned nor settled by a facet tries its affine
+laws (``_LawTable``): the optimiser is piecewise affine in x, and each law
+is one piece, a point z(x) and multipliers y(x) affine in x whose KKT
+residuals are affine in x as well.
 Law 0 is the central law, the unconstrained minimiser u = K_n x in the
 nominal inputs (K_n comes from the same linear solve as S_n) with a fixed,
 x-independent tail of feedback gains and absolute-value variables taken

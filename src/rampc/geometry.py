@@ -8,12 +8,13 @@ Qhull returns, so ``support`` of a reduced set is a max over vertices.
 LPs remain where no vertices are known or where they certify: the centre
 LP, ``support_lp`` and its many-directions form ``support_lp_many`` (one
 block-diagonal LP; the terminal set's invariance recheck uses it),
-``projection_cuts``, which outer-bounds the projection of a lifted set
-{(x, z) : G z + R x <= h} onto x by support LPs (exactly in one and two
-dimensions), and the per-row LP loop for 1-d, flat and unbounded sets,
-which Qhull cannot take.  A small 2-d enumerator exists for plotting and
-polygon metrics.  Inclusion and fixed-point tests use an absolute tolerance
-of 1e-7 on facet offsets, one order above the LP layer's 1e-8 accuracy.
+``projection_cuts``, which describes the projection of a lifted set
+{(x, z) : G z + R x <= h} onto x by support LPs along Qhull's hull facets
+(exact in every dimension, up to its LP cap), and the per-row LP loop for
+1-d, flat and unbounded sets, which Qhull cannot take.  A small 2-d
+enumerator exists for plotting and polygon metrics.  Inclusion and
+fixed-point tests use an absolute tolerance of 1e-7 on facet offsets, one
+order above the LP layer's 1e-8 accuracy.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import HalfspaceIntersection, QhullError
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import (
     ConvergenceError,
@@ -35,7 +36,7 @@ FACET_TOL = 1e-7
 # relative slack of a candidate vertex in ``vertices_2d``
 _VERTEX_TOL = 1e-9
 # cap on the support LPs of one projection_cuts build: a guard against
-# rounding that keeps finding new points on a nearly straight edge
+# rounding that keeps finding new points on a nearly flat facet
 _MAX_SUPPORT_LPS = 500
 # rows of [H h] scaled by max|H_i| that agree this closely are one halfspace
 _COINCIDENT_TOL = 1e-9
@@ -391,12 +392,14 @@ def projection_cuts(G, R, h) -> ProjectionCuts:
 
     Each LP maximizes c'x over the lifted set; its dual y (G'y = 0, R'y = c,
     y >= 0), normalized to sum(y) = 1, gives the cut (R'y)'x <= h'y.  The
-    directions are +-e_i; in 2-d the polygon of support points is then
-    refined edge by edge (each edge's outward normal is probed until no
-    edge moves by more than FACET_TOL), so the cuts describe F exactly in
-    one and two dimensions and outer-bound it in more.  A support LP that is
-    not OPTIMAL (F empty or unbounded) ends the build with the cuts found so
-    far; a dual with ||G'y||_inf > 1e-9 is dropped.
+    directions are +-e_i, then the outward facet normals of the hull of the
+    support points (the convex-hull method: Lassez & Lassez 1992; Kerrigan
+    2000, ch. 3).  Each round probes every facet not yet confirmed, adds the
+    points beyond their facet by more than FACET_TOL and confirms the other
+    facets, until a round adds no point.  So the cuts describe F exactly in
+    every dimension, up to _MAX_SUPPORT_LPS LPs.  A build cut short by that
+    cap or by a support LP that is not OPTIMAL (F empty or unbounded) keeps
+    its cuts, an outer bound; a dual with ||G'y||_inf > 1e-9 is dropped.
     """
     t0 = time.perf_counter()
     G = np.atleast_2d(np.asarray(G, dtype=float))
@@ -430,31 +433,41 @@ def projection_cuts(G, R, h) -> ProjectionCuts:
             a.setflags(write=False)
         return ProjectionCuts(*arrays, n_lps=n_lps, seconds=time.perf_counter() - t0)
 
-    axes = np.eye(d)
-    # +e_1, +e_2, -e_1, -e_2 in 2-d: the support points come out counter-clockwise
-    directions = [axes[0], axes[1], -axes[0], -axes[1]] if d == 2 else list(np.vstack([axes, -axes]))
-    ring = []
-    for c in directions:
+    points = []
+    for c in np.vstack([np.eye(d), -np.eye(d)]):
         p = support_point(c)
         if p is None:
             return result()
-        if not ring or np.max(np.abs(p - ring[-1])) > FACET_TOL:
-            ring.append(p)
-    if d != 2:
-        return result()
-    if len(ring) > 1 and np.max(np.abs(ring[0] - ring[-1])) <= FACET_TOL:
-        ring.pop()
-    # counter-clockwise edges (a, b) still to confirm, kept in ring order
-    edges = [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))] if len(ring) > 1 else []
-    while edges and n_lps < _MAX_SUPPORT_LPS:
-        a, b = edges.pop(0)
-        normal = np.array([b[1] - a[1], a[0] - b[0]])
-        normal /= np.max(np.abs(normal))
-        p = support_point(normal)
-        if p is None:
+        points.append(p)
+    confirmed = np.zeros((0, d + 1))  # [a b] of the facets no probe moved
+    while d > 1:  # in 1-d the two axis LPs are exact
+        pts = np.array(points)
+        try:  # facets [a b] of the hull, a'x <= b, from Qhull's n'x + off <= 0
+            eq = ConvexHull(pts).equations
+            rows = np.hstack([eq[:, :d], -eq[:, d:]])
+        except QhullError:
+            # points in a flat (too few, or on one hyperplane) have no hull:
+            # its two sides, normal to the points' least spread, stand in
+            v = np.linalg.svd(pts - pts.mean(axis=0))[2][-1]
+            rows = np.array([np.append(v, np.max(pts @ v)), np.append(-v, np.max(pts @ -v))])
+        rows /= np.max(np.abs(rows[:, :d]), axis=1, keepdims=True)
+        found = []
+        for row in rows:
+            a, b = row[:d], row[d]
+            if np.any(np.max(np.abs(confirmed - row), axis=1) <= _COINCIDENT_TOL):
+                continue  # confirmed already (Qhull may split a facet into pieces)
+            if any(a @ q > b + FACET_TOL for q in found):
+                continue  # a point of this round already cuts the facet away
+            p = support_point(a) if n_lps < _MAX_SUPPORT_LPS else None
+            if p is None:
+                return result()
+            if a @ p > b + FACET_TOL:
+                found.append(p)
+            else:
+                confirmed = np.vstack([confirmed, row])
+        if not found:
             break
-        if normal @ p > normal @ a + FACET_TOL:
-            edges[:0] = [(a, p), (p, b)]
+        points += found
     return result()
 
 

@@ -25,17 +25,16 @@ is configurable.
 Stopping rule: the ADMM loop checks its iterate every ``_CHECK_EVERY``
 iterations and, at every second check, adapts the step size from the ratio
 of the primal to the dual residual (Boyd et al. 2011, sec. 3.4.1; Stellato
-et al. 2020).  The rule never switches back to the scale it just left, so
-a solve cannot flip between two scales, which near the boundary of a
-feasible set discarded each scale's progress until the iteration cap.  It
-makes at most one update per adaptation check, so at most
-``_MAX_ITER / (2 * _CHECK_EVERY)`` (1000) per solve; it does not rule out a
-cycle through three or more scales, and it does not by itself make ADMM
-converge.  Every check verifies the unscaled iterate, duals clipped at
-zero, against the KKT contract of ``_kkt_ok`` and returns it as OPTIMAL at
-the first check that passes.  A check forms the CSR products G x and Q x
-once; the contract, the ADMM residuals and the objective all reuse them.
-The residuals only decide when to give up: an iterate whose residuals reach
+et al. 2020).  The rule never returns to a scale the solve has already
+used, so a solve cannot cycle through scales, which near the boundary of a
+feasible set discarded each scale's progress until the iteration cap.  The
+scales are the 17 half-decades of [1e-4, 1e4], so a solve makes at most 16
+updates; the rule does not by itself make ADMM converge.  Every check
+verifies the unscaled iterate, duals clipped at zero, against the KKT
+contract of ``_kkt_ok`` and returns it as OPTIMAL at the first check that
+passes.  A check forms the CSR products G x and Q x once; the contract, the
+ADMM residuals and the objective all reuse them.  The residuals only
+decide when to give up: an iterate whose residuals reach
 1e-10 and that still fails the contract is NUMERICAL_FAILURE, never a
 result that misses it.  An INFEASIBLE verdict is never emitted on ADMM
 evidence alone: it is confirmed by an exact LP feasibility probe and
@@ -69,7 +68,8 @@ _MAX_ITER = 50_000
 # iterations between checks of the iterate; at every second check (every
 # 2 * _CHECK_EVERY iterations) the step size adapts to _RHO times a factor
 # within [1e-4, 1e4], in half-decade steps, only when the new factor
-# differs by more than 5x and never back to the factor the last update left
+# differs by more than 5x and never to a factor the solve has used, so at
+# most 16 updates: the solve starts at one of the 17 factors
 _CHECK_EVERY = 25
 _RUIZ_ITERS = 10
 _KKT_TOL = 1e-8  # the contract every OPTIMAL result meets
@@ -280,10 +280,10 @@ class ParametricQP:
         the table's screen applies the same bounds entry by entry.
         """
         # ndarray methods, not np.max: the wrappers nearly double the cost of
-        # these small reductions, which run at every ADMM check
-        if float(primal.max()) > _KKT_TOL:
+        # these small reductions; "not (within the bound)" fails a NaN
+        if not float(primal.max()) <= _KKT_TOL:
             return False
-        if float(y.min(initial=0.0)) < 0.0:
+        if not float(y.min(initial=0.0)) >= 0.0:
             return False
         scale = max(1.0, float(abs(q).max(initial=0.0)))
         return float(abs(stationarity).max()) <= _KKT_TOL * scale
@@ -305,7 +305,7 @@ class ParametricQP:
         y = np.zeros(self.m)
         iters = 0
         rho_updates = 0
-        left = None  # the scale the last update left; the rule never returns to it
+        used = {rho_scale}  # the scales this solve has used; the rule returns to none
         probed = False  # the probe depends only on (G, h), so one answers for the solve
 
         def finish(status, **kw):
@@ -349,8 +349,9 @@ class ParametricQP:
                 ratio = (r_p / eps_p) / (r_d / eps_d)
                 new_scale = _quantize_rho(rho_scale * float(np.sqrt(ratio)))
                 new_scale = min(max(new_scale, 1e-4), 1e4)
-                if new_scale != left and (new_scale > 5 * rho_scale or new_scale < rho_scale / 5):
-                    left, rho_scale = rho_scale, new_scale
+                if new_scale not in used and (new_scale > 5 * rho_scale or new_scale < rho_scale / 5):
+                    used.add(new_scale)
+                    rho_scale = new_scale
                     rho_updates += 1
                     lu, rho, rho_inv = self._factor(rho_scale)
         return finish(SolveStatus.NUMERICAL_FAILURE)

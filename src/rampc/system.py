@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ProblemFormatError, UnboundedConstraintSetError
 from .geometry import Polytope
-from .qpsolver import solve_lp
+from .qpsolver import solve_lp  # noqa: F401  perfbench/tracing.py wraps system.solve_lp
 
 
 def _induced_inf_norm(M):
@@ -171,49 +171,30 @@ def _combine(vertices, weights):
     return out
 
 
-def sample_realization(
-    sys: UncertainSystem, horizon: int, seed: int, adversarial: bool = False
-) -> UncertaintyRealization:
+def sample_realization(sys: UncertainSystem, horizon: int, seed: int) -> UncertaintyRealization:
     """Deterministic-in-seed admissible realization over ``horizon`` steps.
 
     Hull weights are uniform on the simplex; each w_t is a random convex
     combination of W's bounding-box corners, redrawn if it falls outside W
-    (cannot happen for boxes).  Adversarial mode instead picks a vertex
-    matrix for each hull and an extreme point of W per step.
+    (cannot happen for boxes).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rng = np.random.default_rng(seed)
     d = sys.d
-    if adversarial:
-        wA = np.zeros(sys.n_a)
-        wA[rng.integers(sys.n_a)] = 1.0
-        wB = np.zeros(sys.n_b)
-        wB[rng.integers(sys.n_b)] = 1.0
-        ws = np.empty((horizon, d))
-        for t in range(horizon):
-            sigma = rng.integers(0, 2, size=d) * 2.0 - 1.0
-            if sys.W.is_box:
-                lo, hi = sys.W.box_bounds
-                ws[t] = np.where(sigma > 0, hi, lo)
-            else:
-                # extreme point of W in a random signed direction
-                out = solve_lp(-sigma, sys.W.H, sys.W.h)
-                ws[t] = out.x_opt
-    else:
-        wA = rng.dirichlet(np.ones(sys.n_a))
-        wB = rng.dirichlet(np.ones(sys.n_b))
-        corners = sys.W.box_corners()
-        ws = np.empty((horizon, d))
-        for t in range(horizon):
-            for _ in range(100):
-                lam = rng.dirichlet(np.ones(len(corners)))
-                w = lam @ corners
-                if sys.W.contains(w, tol=0.0):
-                    break
-            else:
-                w = np.zeros(d)  # W contains the origin (Assumption check)
-            ws[t] = w
+    wA = rng.dirichlet(np.ones(sys.n_a))
+    wB = rng.dirichlet(np.ones(sys.n_b))
+    corners = sys.W.box_corners()
+    ws = np.empty((horizon, d))
+    for t in range(horizon):
+        for _ in range(100):
+            lam = rng.dirichlet(np.ones(len(corners)))
+            w = lam @ corners
+            if sys.W.contains(w, tol=0.0):
+                break
+        else:
+            w = np.zeros(d)  # W contains the origin (Assumption check)
+        ws[t] = w
     return UncertaintyRealization(
         deltaA_true=_combine(sys.deltaA_vertices, wA),
         deltaB_true=_combine(sys.deltaB_vertices, wB),

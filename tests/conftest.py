@@ -55,29 +55,30 @@ def tmp_problem_file(tmp_path):
     return write
 
 
-def random_stable_system_2d(rng, da=0.03, db=0.03, w=0.08):
-    """Random 2-d uncertain system with a stabilizing gain (rejection sampled)."""
+def random_stable_system(rng, da=0.03, db=0.03, w=0.08, d=2, m=1):
+    """Random uncertain system with d states, m inputs and a stabilizing gain
+    (rejection sampled)."""
     from rampc.geometry import Polytope
     from rampc.system import UncertainSystem
 
     while True:
-        A = rng.uniform(-1.0, 1.0, size=(2, 2))
+        A = rng.uniform(-1.0, 1.0, size=(d, d))
         A = 0.9 * A / max(np.max(np.abs(np.linalg.eigvals(A))), 1e-6)
-        B = rng.uniform(-1.0, 1.0, size=(2, 1))
+        B = rng.uniform(-1.0, 1.0, size=(d, m))
         if np.abs(B).max() < 0.3:
             continue
         import scipy.linalg
 
-        Pric = scipy.linalg.solve_discrete_are(A, B, np.eye(2), np.eye(1))
-        K = -np.linalg.solve(B.T @ Pric @ B + np.eye(1), B.T @ Pric @ A)
+        Pric = scipy.linalg.solve_discrete_are(A, B, np.eye(d), np.eye(m))
+        K = -np.linalg.solve(B.T @ Pric @ B + np.eye(m), B.T @ Pric @ A)
         sys = UncertainSystem(
             A_bar=A,
             B_bar=B,
-            deltaA_vertices=(da * np.eye(2), -da * np.eye(2)),
-            deltaB_vertices=(db * np.ones((2, 1)), -db * np.ones((2, 1))),
-            W=Polytope.from_box([-w, -w], [w, w]),
-            X=Polytope.from_box([-5, -5], [5, 5]),
-            U=Polytope.from_box([-3], [3]),
+            deltaA_vertices=(da * np.eye(d), -da * np.eye(d)),
+            deltaB_vertices=(db * np.ones((d, m)), -db * np.ones((d, m))),
+            W=Polytope.from_box(np.full(d, -w), np.full(d, w)),
+            X=Polytope.from_box(np.full(d, -5.0), np.full(d, 5.0)),
+            U=Polytope.from_box(np.full(m, -3.0), np.full(m, 3.0)),
         )
         cls = sys.vertex_closed_loops(K)
         if max(np.max(np.abs(np.linalg.eigvals(M))) for M in cls) < 0.95:

@@ -25,7 +25,7 @@ from rampc.prediction import FeedbackGainStack, build_stacked
 from rampc.simulator import benchmark, estimate_roa, estimate_roa_baseline, simulate_closed_loop, simulate_rollout
 from rampc.system import UncertainSystem, sample_realization
 
-from conftest import random_stable_system_2d
+from conftest import random_stable_system
 
 # five grid-verified feasible initial states on the default example
 X0_SET = [(6.0, -6.0), (-6.0, 6.0), (4.0, 4.0), (-4.0, -4.0), (7.0, 0.0)]
@@ -166,7 +166,7 @@ def test_criterion_5_case1_exactness():
             )
             K = np.array([[-(a - 0.4)]])  # places a_cl near 0.4
         else:
-            sys, K = random_stable_system_2d(rng)
+            sys, K = random_stable_system(rng)
         P = np.eye(sys.d)
         R = np.eye(sys.m)
         try:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from rampc import cli
 from rampc.cli import main
 from rampc.system import default_problem_path
 
@@ -120,8 +121,13 @@ def test_unstable_gain_exits_3(tmp_problem_file, tmp_path):
 
 
 @pytest.mark.parametrize("x0", ["1,2,3", "nan,0", "inf,0"])
-def test_bad_x0_exits_2(x0, tmp_path, capsys):
-    # a wrong component count or a component that is not finite
+def test_bad_x0_exits_2(x0, tmp_path, capsys, monkeypatch):
+    # a wrong component count or a component that is not finite, rejected
+    # before terminal synthesis runs
+    def synthesis(prob):
+        raise AssertionError("terminal synthesis ran")
+
+    monkeypatch.setattr(cli, "config_from_problem", synthesis)
     out = tmp_path / "x.csv"
     rc = main(
         ["simulate", "--problem", "default", "--x0", x0, "--steps", "2",

@@ -27,7 +27,7 @@ from rampc.qpsolver import ParametricQP, SolveOutcome, SolveStatus, verify_farka
 from rampc.simulator import simulate_closed_loop
 from rampc.system import UncertainSystem, load_problem_dict, sample_realization
 
-from conftest import scalar_problem_dict
+from conftest import random_stable_system, scalar_problem_dict
 
 TINY_W = 1e-9  # stands in for "no disturbance" (supports must stay positive)
 
@@ -853,6 +853,35 @@ class TestFeasibleSetFacets:
             assert ctl.solve(np.array([inward])).status is SolveStatus.OPTIMAL
             assert ctl._facet_verdict(1, np.array([outward])) is not None
 
+    def test_facets_settle_infeasible_horizons_in_3d(self):
+        # a seeded d = 3, m = 2 system over uniform states of X: the built
+        # facets settle the INFEASIBLE verdicts (the +-e_i cuts alone settled
+        # none), every certificate verifies, and no settled state is OPTIMAL
+        # in the ADMM-only reference
+        from rampc.controller import MPCConfig
+        from rampc.system import net_additive_bound
+
+        rng = np.random.default_rng(13)
+        sys, K = random_stable_system(rng, d=3, m=2)
+        term = synthesize_terminal(sys, K, np.eye(3), np.eye(2), hull_samples=20)
+        cfg = MPCConfig(P=np.eye(3), R=np.eye(2), N=3, terminal=term, bound=net_additive_bound(sys))
+        ctl = AdaptiveController(sys, cfg)
+        lo, hi = sys.X.bounding_box()
+        infeasible, settled = 0, {}
+        for x in rng.uniform(lo, hi, size=(60, 3)):
+            for r in ctl.solve(x).per_horizon:
+                if r.status is SolveStatus.INFEASIBLE:
+                    tpl = ctl.templates[r.N_t]
+                    assert verify_farkas(tpl.G, tpl.parts(x)[1], None, None, r.farkas), (x, r.N_t)
+                    infeasible += 1
+                    if r.backend == "facets":
+                        settled.setdefault(tuple(x), []).append(r.N_t)
+        assert set(ctl.feasible_sets) == set(ctl.templates)
+        assert sum(map(len, settled.values())) >= 0.8 * infeasible > 0
+        for x, horizons in settled.items():
+            statuses, _ = _admm_only_reference(ctl, np.array(x))
+            assert all(statuses[n] is not SolveStatus.OPTIMAL for n in horizons), (x, statuses)
+
 
 # ---------------------------------------------------------------------------
 # the central law 0 settles unconstrained horizons
@@ -1249,7 +1278,7 @@ class TestLaws:
 
     def test_screen_applies_the_contract_entry_by_entry(self, default_controller):
         # laws of one constant entry per residual, at and just past each
-        # bound: the screen agrees with ParametricQP._kkt_ok, and a NaN fails it
+        # bound: the screen agrees with ParametricQP._kkt_ok, and a NaN fails both
         solver = default_controller.solvers[2]
         table = controller._LawTable(default_controller.templates[2], solver, None)
         x, q = np.array([0.5, -1.0]), np.full(3, 4.0)
@@ -1266,9 +1295,8 @@ class TestLaws:
             table._append((np.array([0.5, -1.0]),) + (None,) * 6, entries)
         screen = np.concatenate([table._screen(table._head, x, tol_s), table._screen(table._rest, x, tol_s)])
         for passed, (p, m, s) in zip(screen, cases):
-            expected = not np.isnan([p, m, s]).any() and solver._kkt_ok(
-                np.array([p]), np.array([m]), np.array([s]), q
-            )
+            # _kkt_ok fails a NaN in any of its three residuals as well
+            expected = solver._kkt_ok(np.array([p]), np.array([m]), np.array([s]), q)
             assert passed == expected, (p, m, s)
         assert 0 < screen.sum() < len(cases)
 

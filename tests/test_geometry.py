@@ -525,19 +525,53 @@ class TestProjectionCuts:
         assert cuts.n_lps == len(cuts) == 2
         np.testing.assert_allclose(cuts.offsets / np.abs(cuts.normals[:, 0]), [2.0, 3.0], atol=1e-12)
 
-    def test_outer_box_in_3d(self):
-        # the octahedron |x1| + |x2| + |x3| <= 1 gets its bounding box
+    def test_flat_start_is_exact_in_2d(self):
+        # a rhombus whose +-e_i supports are two vertices, (2, 2) and (-2, -2):
+        # the first round probes both sides of the line through them
+        H = np.array([[-1.0, 3.0], [1.0, -3.0], [3.0, -1.0], [-3.0, 1.0]])
+        G, R, hl = self._lifted_copy(H, np.full(4, 4.0))
+        cuts = projection_cuts(G, R, hl)
+        self._check_multipliers(cuts, G, R, hl)
+        got = vertices_2d(Polytope(cuts.normals, cuts.offsets))
+        np.testing.assert_allclose(got, vertices_2d(Polytope(H, np.full(4, 4.0))), atol=1e-9)
+        # four axis LPs, two across the flat, one per edge
+        assert cuts.n_lps == len(cuts) == 10
+
+    def test_octahedron_is_exact_in_3d(self):
+        # |x1| + |x2| + |x3| <= 1: the axis LPs find its six vertices and one
+        # round confirms its eight facets
         signs = np.array([[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)], float)
         G, R, h = self._lifted_copy(signs, np.ones(8))
         cuts = projection_cuts(G, R, h)
         self._check_multipliers(cuts, G, R, h)
-        assert cuts.n_lps == len(cuts) == 6
-        box = Polytope(cuts.normals, cuts.offsets)
-        assert is_subset(Polytope(signs, np.ones(8)), box)
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = 1.0
-            assert support(box, e) == pytest.approx(1.0, abs=1e-9)
+        assert cuts.n_lps == len(cuts) == 14
+        octahedron = Polytope(signs, np.ones(8))
+        cut = Polytope(cuts.normals, cuts.offsets)
+        assert is_subset(octahedron, cut) and is_subset(cut, octahedron)
+
+    def test_lp_cap_or_qhull_error_ends_the_build_with_valid_cuts(self, monkeypatch):
+        signs = np.array([[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)], float)
+        G, R, h = self._lifted_copy(signs, np.ones(8))
+        octahedron = Polytope(signs, np.ones(8))
+        # at the cap, in the middle of the first round
+        monkeypatch.setattr(geometry, "_MAX_SUPPORT_LPS", 9)
+        cuts = projection_cuts(G, R, h)
+        self._check_multipliers(cuts, G, R, h)
+        assert cuts.n_lps == len(cuts) == 9
+        assert is_subset(octahedron, Polytope(cuts.normals, cuts.offsets))
+        monkeypatch.undo()
+
+        # Qhull fails on every hull: the two planes that bound the points
+        # across their least spread are probed, neither moves, and the build
+        # stops with an outer bound
+        def raises(points):
+            raise geometry.QhullError("forced")
+
+        monkeypatch.setattr(geometry, "ConvexHull", raises)
+        cuts = projection_cuts(G, R, h)
+        self._check_multipliers(cuts, G, R, h)
+        assert cuts.n_lps == len(cuts) == 8
+        assert is_subset(octahedron, Polytope(cuts.normals, cuts.offsets))
 
     def test_empty_or_unbounded_set_ends_the_build(self):
         # empty: the first support LP is infeasible and no cut is kept

@@ -10,7 +10,7 @@ from rampc.controller import AdaptiveController, MPCConfig, synthesize_terminal
 from rampc.qpsolver import ParametricQP, SolveStatus, admm, lp, solve_lp, verify_farkas
 from rampc.system import net_additive_bound
 
-from conftest import random_stable_system_2d
+from conftest import random_stable_system
 
 
 def _solve(Q, q, G, h):
@@ -207,7 +207,7 @@ def _same_bits(a, b):
 
 def _random_bank(seed):
     rng = np.random.default_rng(seed)
-    sys, K = random_stable_system_2d(rng, da=0.03, db=0.02)
+    sys, K = random_stable_system(rng, da=0.03, db=0.02)
     term = synthesize_terminal(sys, K, np.eye(2), np.eye(1), hull_samples=20)
     cfg = MPCConfig(P=np.eye(2), R=np.eye(1), N=3, terminal=term, bound=net_additive_bound(sys))
     return AdaptiveController(sys, cfg)

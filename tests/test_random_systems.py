@@ -23,7 +23,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_stable_system_2d
+from conftest import random_stable_system
 from rampc.controller import AdaptiveController, MPCConfig, candidate_tail_cost, synthesize_terminal
 from rampc.errors import EmptyTerminalSetError, VertexUnstableError
 from rampc.qpsolver import SolveStatus, verify_farkas
@@ -41,7 +41,7 @@ STEPS = 8
 def test_closed_loop_on_random_systems(seed, radii):
     da, db = radii
     rng = np.random.default_rng(seed)
-    sys, K = random_stable_system_2d(rng, da=da, db=db)
+    sys, K = random_stable_system(rng, da=da, db=db)
     P, R = np.eye(2), np.eye(1)
     try:
         term = synthesize_terminal(sys, K, P, R, hull_samples=20)
@@ -142,21 +142,38 @@ def _check_against_admm_only(ctl, x, sol):
         assert sol.N_star == n_ref, (x, costs)
 
 
-def test_step_size_rule_does_not_cycle_near_boundary():
-    # a draw of the property test above: its N = 3 QP at x0, near the
-    # boundary of F_3, once flipped the step size between two scales until
-    # the iteration cap and ended NUMERICAL_FAILURE
-    rng = np.random.default_rng(38815)
-    sys, K = random_stable_system_2d(rng, da=0.0425, db=0.0)
+def _start_state_qp(seed, da, db, n):
+    """Horizon n's QP at the start state of the property test's draw (seed, [da, db])."""
+    rng = np.random.default_rng(seed)
+    sys, K = random_stable_system(rng, da=da, db=db)
     P, R = np.eye(2), np.eye(1)
     term = synthesize_terminal(sys, K, P, R, hull_samples=20)
     cfg = MPCConfig(P=P, R=R, N=3, terminal=term, bound=net_additive_bound(sys))
     ctl = AdaptiveController(sys, cfg)
     lo, hi = sys.X.bounding_box()
     x = rng.uniform(lo, hi)  # the start state, drawn as the property test draws it
+    return x, ctl.templates[n], ctl.solvers[n]
+
+
+def test_step_size_rule_does_not_cycle_near_boundary():
+    # a draw of the property test above: its N = 3 QP at x0, near the
+    # boundary of F_3, once flipped the step size between two scales until
+    # the iteration cap and ended NUMERICAL_FAILURE
+    x, tpl, solver = _start_state_qp(38815, 0.0425, 0.0, 3)
     assert np.allclose(x, [-2.883, -2.132], atol=1e-3)
-    tpl = ctl.templates[3]
     q, h = tpl.parts(x)
-    out = ctl.solvers[3].solve(q, h)
+    out = solver.solve(q, h)
     assert out.status is SolveStatus.OPTIMAL, (out.status, out.iterations, out.diagnostics)
+    _assert_kkt_contract(tpl, q, h, out, x)
+
+
+def test_step_size_rule_never_returns_to_a_used_scale():
+    # another draw: its N = 1 QP at x0 cycled through three or more scales,
+    # returning to each, until the iteration cap and ended NUMERICAL_FAILURE
+    x, tpl, solver = _start_state_qp(206, 0.009765625, 0.046875, 1)
+    assert np.allclose(x, [3.481, 3.605], atol=1e-3)
+    q, h = tpl.parts(x)
+    out = solver.solve(q, h)
+    assert out.status is SolveStatus.OPTIMAL, (out.status, out.iterations, out.diagnostics)
+    assert out.diagnostics["rho_updates"] <= 16
     _assert_kkt_contract(tpl, q, h, out, x)

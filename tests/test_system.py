@@ -139,14 +139,6 @@ class TestSampleRealization:
         for w in r.w_sequence:
             assert sys2.W.contains(w, tol=1e-12)
 
-    def test_adversarial_vertex(self, sys2):
-        r = sample_realization(sys2, 5, seed=7, adversarial=True)
-        hits = [np.allclose(r.deltaA_true, V) for V in sys2.deltaA_vertices]
-        assert any(hits)
-        lo, hi = sys2.W.box_bounds
-        for w in r.w_sequence:
-            assert all(np.isclose(wi, lo[i]) or np.isclose(wi, hi[i]) for i, wi in enumerate(w))
-
 
 class TestLoader:
     def test_default_example_loads(self, default_problem):
