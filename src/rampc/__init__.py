@@ -19,7 +19,6 @@ from .controller import (
     MPCConfig,
     MPCSolution,
     TerminalComponents,
-    candidate_tail_cost,
     config_from_problem,
     rollout_policy,
     synthesize_terminal,

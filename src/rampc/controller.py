@@ -434,8 +434,8 @@ class CaseNTemplate:
     def extract(self, z):
         u = z[: self.n_u].reshape(self.horizon, self.m)
         M = np.zeros((self.m * self.horizon, self.d * self.horizon))
-        np.put(M, self._m_flat, z[self.n_u : self.n_u + self.n_m])
-        return u, FeedbackGainStack(self.horizon, self.d, self.m, M)
+        np.put(M, self._m_flat, z[self.n_u : self.n_u + self.n_m])  # causal slots only
+        return u, FeedbackGainStack(self.horizon, self.d, self.m, M, check=False)
 
     def central_offset(self, z):
         """[0; M; a] with z's feedback gains M and every absolute-value
@@ -448,20 +448,6 @@ class CaseNTemplate:
             [np.abs(M.M.T @ row["phi"] + row["g"])[: row["supp"]] for row in self._tight]
         )
         return off
-
-    def tightened_row_values(self, u_stack, M: FeedbackGainStack, x):
-        """Worst-case LHS of every tightened row at a fixed policy.
-
-        Evaluates  f'(A_stack x + C u) + w_tilde_max * ||(CM+G)'f||_1  (state
-        rows) and the input analog; used by tests against sampling oracles.
-        """
-        u = np.asarray(u_stack, dtype=float).reshape(-1)
-        vals = np.empty(self.n_main)
-        for r, row in enumerate(self._tight):
-            phi, g = row["phi"], row["g"]
-            v = M.M.T @ phi + g  # equals (CM+G)'f for state rows, M'f for inputs
-            vals[r] = float(phi @ u + row["rhs_map"] @ x + self.w_tilde_max * np.abs(v).sum())
-        return vals, np.array([row["h0"] for row in self._tight])
 
 
 # ---------------------------------------------------------------------------
@@ -945,34 +931,35 @@ class AdaptiveController:
             )
         return sol.applied_input, sol
 
+    def tail_cost(self, sol: MPCSolution, w_tilde):
+        """Cost of the shifted candidate from the perturbed nominal successor
+        x+ = x_bar_next + w_tilde; the optimal cost at x+ can never exceed it
+        (the certificate quantity of the stability argument).
 
-# ---------------------------------------------------------------------------
-# candidate tail cost (the ISS certificate quantity)
-# ---------------------------------------------------------------------------
-
-
-def candidate_tail_cost(cfg: MPCConfig, sys: UncertainSystem, sol: MPCSolution, w_tilde):
-    """Cost of the shifted/terminal candidate policy from the perturbed
-    nominal successor; the optimal cost at the next step can never exceed it.
-
-    With N*=1 the candidate is the terminal feedback and the tail cost is
-    x'P_N x (the Lyapunov series makes the descent identity exact); with
-    N*>=2 it is the cost of replaying the remaining plan, whose only nonzero
-    disturbance argument is the realized net-additive residual.
-    """
-    if not sol.is_feasible:
-        raise ValueError("candidate tail cost needs a feasible solution")
-    w = np.asarray(w_tilde, dtype=float).reshape(-1)
-    x = sol.x_bar_next + w
-    if sol.N_star == 1:
-        return float(x @ cfg.terminal.P_N @ x)
-    total = 0.0
-    M = sol.M_star
-    for k in range(1, sol.N_star):
-        u = sol.u_bar_star[k] + M.block(k, 0) @ w
-        total += float(x @ cfg.P @ x + u @ cfg.R @ u)
-        x = sys.A_bar @ x + sys.B_bar @ u
-    return total + float(x @ cfg.terminal.P_N @ x)
+        A horizon-n plan's candidate applies its remaining inputs
+        u = u_bar[1:] + M[:, block 0] w_tilde from x+, so its cost is horizon
+        n-1's cost at (x+, u): constant(x+) + (q_map x+)'u + 1/2 u'Q_uu u.
+        With n = 1 the candidate is the terminal feedback, at cost x+'P_N x+
+        (the Lyapunov series makes the descent identity exact).  Raises
+        ``ValueError`` for an infeasible solution and for a plan whose
+        horizon n-1 is not in this bank (the baseline's bank of one horizon).
+        """
+        if not sol.is_feasible:
+            raise ValueError("candidate tail cost needs a feasible solution")
+        n = sol.N_star
+        w = np.asarray(w_tilde, dtype=float).reshape(-1)
+        x = sol.x_bar_next + w
+        if n == 1:
+            return float(x @ self.cfg.terminal.P_N @ x)
+        tpl = self.templates.get(n - 1)
+        if tpl is None:
+            raise ValueError(
+                "the bank has no horizon %d to price the tail of a horizon-%d plan" % (n - 1, n)
+            )
+        m = self.sys.m
+        u = sol.u_bar_star[1:].reshape(-1) + sol.M_star.M[m:, : self.sys.d] @ w
+        Q_uu = tpl.Q[: len(u), : len(u)]
+        return tpl.constant(x) + float(u @ (tpl._q_map @ x + 0.5 * (Q_uu @ u)))
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,11 @@ class FeedbackGainStack:
 
     Block (k, l) is the m-by-d gain applied to the reconstructed net-additive
     disturbance of step l when computing the input of step k; causality
-    requires it to vanish for l >= k.
+    requires it to vanish for l >= k.  ``check=False`` skips the scan of M for
+    that, for gains that are causal by construction.
     """
 
-    def __init__(self, horizon: int, d: int, m: int, M=None):
+    def __init__(self, horizon: int, d: int, m: int, M=None, *, check=True):
         self.horizon = horizon
         self.d = d
         self.m = m
@@ -86,7 +87,8 @@ class FeedbackGainStack:
             M = np.zeros((m * horizon, d * horizon))
         else:
             M = np.asarray(M, dtype=float).reshape(m * horizon, d * horizon)
-            self._check_causal(M, horizon, d, m)
+            if check:
+                self._check_causal(M, horizon, d, m)
         self.M = M
         self.M.setflags(write=False)
 

@@ -24,7 +24,6 @@ from .controller import (
     AdaptiveController,
     MPCConfig,
     MPCSolution,
-    candidate_tail_cost,
     rollout_policy,
 )
 from .errors import SolverNumericalError
@@ -148,7 +147,10 @@ def simulate_closed_loop(
     """Run the adaptive controller against one admissible realization.
 
     Every step re-solves at the current state, and from the second step on
-    its cost is checked against the previous solution's candidate tail cost.
+    its cost is checked against the previous solution's candidate tail cost
+    (``AdaptiveController.tail_cost``): the cost of horizon N*-1, N* the
+    previous step's horizon, at the perturbed successor, under the previous
+    plan's remaining inputs (for N* = 1 the terminal cost there).
     """
     ctl = controller if controller is not None else AdaptiveController(sys, cfg)
     prev: MPCSolution | None = None
@@ -158,7 +160,7 @@ def simulate_closed_loop(
         sol, elapsed = _timed_solve(ctl, states[t])
         bound = None
         if prev is not None and sol.is_feasible:
-            bound = candidate_tail_cost(cfg, sys, prev, w_tilde[t - 1])
+            bound = ctl.tail_cost(prev, w_tilde[t - 1])
         prev = sol
         return sol, sol.applied_input, sol.J_star, elapsed, bound
 
@@ -267,10 +269,6 @@ def estimate_roa_baseline(
 # timing benchmark
 # ---------------------------------------------------------------------------
 
-# desk-scale reference magnitudes for a comparable 2-d setup, for context only
-REFERENCE_TIMES_S = {1: 0.0026, 2: 0.0023, 3: 0.0038, 4: 0.0056, 5: 0.0078}
-
-
 def benchmark(sys: UncertainSystem, cfg: MPCConfig, horizons, reps: int, x0=None) -> dict:
     """Per-horizon online times (template-cached build + solve), warm cache.
 
@@ -317,7 +315,6 @@ def benchmark(sys: UncertainSystem, cfg: MPCConfig, horizons, reps: int, x0=None
                 "n_variables": tpl.n_vars,
                 "n_constraints": tpl.G.shape[0],
                 "factor_nnz": ctl.solvers[n].factor_nnz,
-                "reference_time_s": REFERENCE_TIMES_S.get(n),
             }
         )
     return {

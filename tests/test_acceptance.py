@@ -25,7 +25,7 @@ from rampc.prediction import FeedbackGainStack, build_stacked
 from rampc.simulator import benchmark, estimate_roa, estimate_roa_baseline, simulate_closed_loop, simulate_rollout
 from rampc.system import UncertainSystem, sample_realization
 
-from conftest import random_stable_system
+from conftest import random_stable_system, tightened_row_values
 
 # five grid-verified feasible initial states on the default example
 X0_SET = [(6.0, -6.0), (-6.0, 6.0), (4.0, 4.0), (-4.0, -4.0), (7.0, 0.0)]
@@ -245,7 +245,7 @@ def test_criterion_6_caseN_counterpart_exactness(default_problem, default_cfg, b
         M = FeedbackGainStack(N, d, m, Mfull)
         u = rng.normal(size=m * N)
         x = rng.uniform(-3, 3, size=d)
-        vals, _ = tpl.tightened_row_values(u, M, x)
+        vals, _ = tightened_row_values(tpl, u, M, x)
         # independent oracle: linearity of the recursion in the stacked
         # disturbance gives row gradients by finite differences
         args = (sys, sys.X.H, default_cfg.terminal.X_N.H, u, Mfull, x)

@@ -10,7 +10,6 @@ from rampc.controller import (
     AdaptiveController,
     Case1Template,
     CaseNTemplate,
-    candidate_tail_cost,
     lyapunov_series,
     rollout_policy,
     synthesize_terminal,
@@ -22,12 +21,18 @@ from rampc.errors import (
     VertexUnstableError,
 )
 from rampc.geometry import Polytope, is_subset, support, vertices_2d
-from rampc.prediction import FeedbackGainStack, build_stacked
+from rampc.prediction import FeedbackGainStack, _acausal_mask, build_stacked
 from rampc.qpsolver import ParametricQP, SolveOutcome, SolveStatus, verify_farkas
 from rampc.simulator import simulate_closed_loop
 from rampc.system import UncertainSystem, load_problem_dict, sample_realization
 
-from conftest import random_stable_system, scalar_problem_dict
+from conftest import (
+    assert_tail_cost_matches_oracle,
+    horizon_plan,
+    random_stable_system,
+    scalar_problem_dict,
+    tightened_row_values,
+)
 
 TINY_W = 1e-9  # stands in for "no disturbance" (supports must stay positive)
 
@@ -317,6 +322,19 @@ class TestCaseN:
                 assert np.array_equal(u, z[: m * N].reshape(N, m)), N
                 assert np.array_equal(M.M, ref), N
 
+    @pytest.mark.parametrize("bank", ["adaptive", "baseline"])
+    def test_gains_are_causal_by_construction(self, bank, default_controller, baseline_controller):
+        # extract skips the causality scan: every slot it writes must be a
+        # causal entry, and together they cover every causal entry once
+        ctl = default_controller if bank == "adaptive" else baseline_controller
+        horizons = [n for n, tpl in ctl.templates.items() if isinstance(tpl, CaseNTemplate)]
+        assert horizons == ([2, 3, 4, 5] if bank == "adaptive" else [5])
+        for N in horizons:
+            tpl = ctl.templates[N]
+            acausal = _acausal_mask(N, tpl.d, tpl.m).reshape(-1)
+            assert not acausal[tpl._m_flat].any(), N
+            assert len(np.unique(tpl._m_flat)) == tpl.n_m == int((~acausal).sum()), N
+
     def test_tightened_rows_match_analytic_and_dominate_samples(self, default_problem, default_cfg, default_controller):
         rng = np.random.default_rng(13)
         sys = default_problem.system
@@ -331,7 +349,7 @@ class TestCaseN:
             M = FeedbackGainStack(N, d, m, Mfull)
             u = rng.normal(size=m * N)
             x = rng.uniform(-2, 2, size=d)
-            vals, offs = tpl.tightened_row_values(u, M, x)
+            vals, offs = tightened_row_values(tpl, u, M, x)
             # analytic worst case via explicit (CM+G) assembly
             CMG = sd.C @ Mfull + sd.G
             wmax = default_cfg.bound.w_tilde_max
@@ -479,9 +497,43 @@ class TestAdaptive:
         x = np.array([4.0, 2.0])
         sol = default_controller.solve(x)
         assert sol.is_feasible and sol.N_star >= 2
-        q0 = candidate_tail_cost(default_cfg, default_problem.system, sol, np.zeros(2))
+        q0 = default_controller.tail_cost(sol, np.zeros(2))
         stage = x @ default_cfg.P @ x + sol.applied_input @ default_cfg.R @ sol.applied_input
         assert sol.J_star == pytest.approx(stage + q0, rel=1e-6)
+
+    def test_tail_cost_matches_step_by_step_oracle_at_every_horizon(
+        self, default_problem, default_cfg, default_controller
+    ):
+        # every horizon's plan, not only the winner's, so N* = 1..N all occur
+        sys = default_problem.system
+        ctl = default_controller
+        rng = np.random.default_rng(27)
+        wmax = default_cfg.bound.w_tilde_max
+        lo, hi = sys.X.bounding_box()
+        priced = set()
+        for x in [np.array(x0) for x0 in X0_SET] + [rng.uniform(lo, hi) for _ in range(20)]:
+            for n, tpl in ctl.templates.items():
+                out = ctl.solvers[n].solve(*tpl.parts(x))
+                if out.status is not SolveStatus.OPTIMAL:
+                    continue
+                plan = horizon_plan(ctl, n, x, out)
+                for w in (np.zeros(sys.d), rng.uniform(-wmax, wmax, size=sys.d)):
+                    assert_tail_cost_matches_oracle(ctl, plan, w, x)
+                priced.add(n)
+        assert priced == set(range(1, default_cfg.N + 1))
+
+    def test_tail_cost_rejects_infeasible_and_baseline_plans(self, own_controller, baseline_controller):
+        far = own_controller.solve(np.array([50.0, 50.0]))
+        assert not far.is_feasible
+        with pytest.raises(ValueError, match="feasible"):
+            own_controller.tail_cost(far, np.zeros(2))
+        # the baseline's bank holds horizon N only, so no horizon N - 1 prices
+        # its tail; its plan comes from its solver, leaving its laws untouched
+        ctl, x = baseline_controller, np.array([1.0, 1.0])
+        out = ctl.solver.solve(*ctl.template.parts(x))
+        assert out.status is SolveStatus.OPTIMAL
+        with pytest.raises(ValueError, match="no horizon 4"):
+            ctl.tail_cost(horizon_plan(ctl, 5, x, out), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

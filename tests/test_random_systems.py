@@ -7,7 +7,10 @@ NUMERICAL_FAILURE), every applied step must keep x in X and u in U, and
 every INFEASIBLE horizon must carry a Farkas certificate that
 ``verify_farkas`` accepts against the template's G and ``parts(x)``.  Once
 the loop is feasible it stays feasible, and each optimal cost is at most
-the candidate tail cost of the step before (the descent check).
+the candidate tail cost of the step before (the descent check).  At every
+step, the tail cost of each horizon's plan (the ADMM-only reference's
+OPTIMAL results, so every N* from 1 to N occurs) equals its step-by-step
+oracle to 1e-12 relative, at the step's realized net-additive residual.
 
 Every OPTIMAL result, whether settled by a stored law (``backend="law"``:
 the central law 0, with zero multipliers, or an active-set law) or solved
@@ -23,8 +26,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_stable_system
-from rampc.controller import AdaptiveController, MPCConfig, candidate_tail_cost, synthesize_terminal
+from conftest import assert_tail_cost_matches_oracle, horizon_plan, random_stable_system
+from rampc.controller import AdaptiveController, MPCConfig, synthesize_terminal
 from rampc.errors import EmptyTerminalSetError, VertexUnstableError
 from rampc.qpsolver import SolveStatus, verify_farkas
 from rampc.simulator import MARGIN_TOL
@@ -82,17 +85,20 @@ def test_closed_loop_on_random_systems(seed, radii):
                 assert not np.any(out.y_ineq), (t, x, n)
             _assert_kkt_contract(ctl.templates[n], q, h, out, (t, x, n))
         laws.clear()
-        _check_against_admm_only(ctl, x, sol)
+        reference = _check_against_admm_only(ctl, x, sol)
         if not sol.is_feasible:
             assert prev is None, (t, x)  # recursive feasibility
             break
         assert sol.margin_x >= -MARGIN_TOL and sol.margin_u >= -MARGIN_TOL, (t, x)
         if prev is not None:
-            tail = candidate_tail_cost(cfg, sys, *prev)
+            tail = ctl.tail_cost(*prev)
             assert sol.J_star <= tail + MARGIN_TOL * (1.0 + abs(sol.J_star)), (t, sol.J_star, tail)
         u = sol.applied_input
         x_next = A_true @ x + B_true @ u + real.w_sequence[t]
-        prev = (sol, x_next - sys.A_bar @ x - sys.B_bar @ u)
+        w_tilde = x_next - sys.A_bar @ x - sys.B_bar @ u
+        for plan in [sol] + [horizon_plan(ctl, n, x, out) for n, out in reference.items()]:
+            assert_tail_cost_matches_oracle(ctl, plan, w_tilde, (t, x))
+        prev = (sol, w_tilde)
         x = x_next
     # each OPTIMAL ADMM result stored its law: a revisit settles by it, and a
     # state nearby may; both agree with ADMM alone
@@ -125,21 +131,24 @@ def _assert_kkt_contract(tpl, q, h, out, where):
 
 def _check_against_admm_only(ctl, x, sol):
     """N* of ``sol`` equals the ADMM-only selection when that one is clear;
-    every OPTIMAL ADMM result meets the KKT contract."""
-    costs = {}
+    every OPTIMAL ADMM result meets the KKT contract.  Returns the OPTIMAL
+    ADMM results, {horizon: outcome}."""
+    costs, optimal = {}, {}
     for n, tpl in ctl.templates.items():
         q, h = tpl.parts(x)
         out = ctl.solvers[n].solve(q, h)
         if out.status is SolveStatus.OPTIMAL:
             _assert_kkt_contract(tpl, q, h, out, (x, n))
             costs[n] = out.objective + tpl.constant(x)
+            optimal[n] = out
     if not costs:
         assert not sol.is_feasible, x
-        return
+        return optimal
     n_ref = min(costs, key=lambda n: (costs[n], n))
     J = costs[n_ref]
     if all(abs(c - J) > 1e-8 * (1.0 + abs(J)) for n, c in costs.items() if n != n_ref):
         assert sol.N_star == n_ref, (x, costs)
+    return optimal
 
 
 def _start_state_qp(seed, da, db, n):

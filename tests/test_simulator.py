@@ -164,6 +164,10 @@ def test_benchmark_schema(default_problem, default_cfg):
     rep = benchmark(default_problem.system, default_cfg, [1, 2], reps=3)
     assert [r["N_t"] for r in rep["rows"]] == [1, 2]
     for row in rep["rows"]:
+        assert set(row) == {
+            "N_t", "mean_s", "median_s", "min_s", "max_s", "reps", "statuses",
+            "n_variables", "n_constraints", "factor_nnz",
+        }
         assert row["median_s"] > 0 and np.isfinite(row["mean_s"])
         n = row["n_variables"]
         assert n <= row["factor_nnz"] <= n * (n + 1) // 2
