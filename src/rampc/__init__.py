@@ -11,7 +11,10 @@ A controller is an object prepared once per system and config,
 ``MPCSolution`` (an all-infeasible bank is data) and ``step(x)`` the applied
 input, raising ``AllHorizonsInfeasibleError`` instead.  One horizon's QP is
 posed by ``controller.Case1Template``/``CaseNTemplate`` and ``parts(x)``.
+Rare events go to the ``rampc`` logger, silent until logging is configured.
 """
+import logging
+
 from . import baseline, controller, geometry, prediction, qpsolver, simulator, system
 from .baseline import BaselineConfig, BaselineController, make_baseline_config
 from .controller import (
@@ -46,3 +49,5 @@ from .system import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

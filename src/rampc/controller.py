@@ -284,7 +284,7 @@ class Case1Template:
         self._rhs_map = np.vstack(rhs_maps + [np.zeros((sys.U.n_rows, d))])
         self._h_base = np.concatenate(h_base + [sys.U.h])
         P_N = terminal.P_N
-        self.Q = 2.0 * (R + sys.B_bar.T @ P_N @ sys.B_bar)
+        self.Q = self.Q_uu = 2.0 * (R + sys.B_bar.T @ P_N @ sys.B_bar)
         self._q_map = 2.0 * sys.B_bar.T @ P_N @ sys.A_bar
         self._const_map = P + sys.A_bar.T @ P_N @ sys.A_bar
         self.n_vars = m
@@ -302,9 +302,9 @@ class Case1Template:
     def constant(self, x):
         return float(x @ self._const_map @ x)
 
-    def extract(self, z):
+    def extract(self, z, gains=None):
         u = z[: self.m].reshape(1, self.m)
-        return u, FeedbackGainStack.zeros(1, self.d, self.m)
+        return u, FeedbackGainStack.zeros(1, self.d, self.m) if gains is None else gains
 
 
 class CaseNTemplate:
@@ -415,6 +415,7 @@ class CaseNTemplate:
         Qu = 2.0 * (sd.C.T @ P_bar @ sd.C + R_bar)
         self.Q = np.zeros((self.n_vars, self.n_vars))
         self.Q[: self.n_u, : self.n_u] = Qu
+        self.Q_uu = self.Q[: self.n_u, : self.n_u]  # the nominal-input block, a view
         self._q_map = 2.0 * sd.C.T @ P_bar @ sd.A_stack
         self._const_map = P + sd.A_stack.T @ P_bar @ sd.A_stack
 
@@ -431,8 +432,11 @@ class CaseNTemplate:
     def constant(self, x):
         return float(x @ self._const_map @ x)
 
-    def extract(self, z):
+    def extract(self, z, gains=None):
+        """(u, gains) of z; ``gains``, when given, stands in for z's own."""
         u = z[: self.n_u].reshape(self.horizon, self.m)
+        if gains is not None:
+            return u, gains
         M = np.zeros((self.m * self.horizon, self.d * self.horizon))
         np.put(M, self._m_flat, z[self.n_u : self.n_u + self.n_m])  # causal slots only
         return u, FeedbackGainStack(self.horizon, self.d, self.m, M, check=False)
@@ -455,12 +459,19 @@ class CaseNTemplate:
 # ---------------------------------------------------------------------------
 
 
+def min_slack(H, h, v):
+    """Smallest slack of v in the rows H v <= h (negative when one is violated)."""
+    return float((h - H @ v).min())
+
+
 @dataclass
 class HorizonResult:
     """Outcome of one horizon.  A pruned horizon was never solved: its lower
     bound exceeded the best cost found, so ``status``, ``cost`` and
-    ``backend`` are None.  ``backend`` names what settled a solved horizon:
-    "law", "facets", or the ADMM solver's "sparse"."""
+    ``backend`` are None.  ``bound`` comes from one stacked product of all
+    S_n and can differ from x'S_n x in its last bit (``AdaptiveController.solve``).
+    ``backend`` names what settled a solved horizon: "law", "facets", or
+    the ADMM solver's "sparse"."""
 
     N_t: int
     status: SolveStatus | None
@@ -497,14 +508,14 @@ class MPCSolution:
         """Min slack of x_t in the state constraints (nan when infeasible)."""
         if self.u_bar_star is None:
             return float("nan")
-        return float(np.min(self.sys.X.h - self.sys.X.H @ self.x_t))
+        return min_slack(self.sys.X.H, self.sys.X.h, self.x_t)
 
     @property
     def margin_u(self):
         """Min slack of the applied input (nan when infeasible)."""
         if self.u_bar_star is None:
             return float("nan")
-        return float(np.min(self.sys.U.h - self.sys.U.H @ self.applied_input))
+        return min_slack(self.sys.U.H, self.sys.U.h, self.applied_input)
 
     def report(self, tag="proposed"):
         return {
@@ -534,14 +545,12 @@ def _bound_map(tpl):
     dropped, and u = K x the nominal inputs that attain it.
 
     The cost is 1/2 z'Qz + q(x)'z + constant(x), where only the nominal
-    inputs (the leading block of z, of size ``_q_map.shape[0]``) carry cost;
+    inputs (the leading block of z, with Hessian block ``Q_uu``) carry cost;
     minimizing over them gives K = -Q_uu^-1 q_map and
     S = const_map - 1/2 q_map' Q_uu^-1 q_map, from one linear solve.  S
     lower-bounds the objective at *any* z, feasible or not.
     """
-    n_u = tpl._q_map.shape[0]
-    Q_uu = tpl.Q[:n_u, :n_u]
-    Y = np.linalg.solve(Q_uu, tpl._q_map)
+    Y = np.linalg.solve(tpl.Q_uu, tpl._q_map)
     S = tpl._const_map - 0.5 * tpl._q_map.T @ Y
     return 0.5 * (S + S.T), -Y
 
@@ -589,7 +598,9 @@ class _LawTable:
         self._q_map = np.zeros((tpl.n_vars, d))  # q(x) = q_map x over all of z
         self._q_map[: tpl._q_map.shape[0]] = tpl._q_map
         self._q_cols = np.any(tpl.Q != 0.0, axis=0)
+        self._n_u = tpl._q_map.shape[0]  # q(x) is zero past the nominal inputs
         self.central = None  # whether law 0 is the central law, once add_central has run
+        self.gains0 = None  # the central law's FeedbackGainStack, which x does not move
         self._laws = []  # (x_k, z_k, cols, Z, y_k, active, Y)
         self._entries = []  # per law: kept (offsets, slopes) of the three residuals
         self._head = self._rest = None  # _stack of law 0 and of the others
@@ -611,7 +622,8 @@ class _LawTable:
                 return
             z = tpl.central_offset(out.x_opt)
         self.central = True
-        y, cols, active, Y = np.zeros(solver.m), np.arange(n_u), np.zeros(0, dtype=np.intp), np.zeros((0, d))
+        self.gains0 = tpl.extract(z)[1]
+        y, cols, active, Y = np.zeros(solver.m), slice(0, n_u), np.zeros(0, dtype=np.intp), np.zeros((0, d))
         primal = solver.A @ z - h
         stationarity = solver.Q @ z + q + solver.At @ y
         self._append((x, z, cols, K, y, active, Y), self._kept(primal, y, stationarity, cols, K, active, Y))
@@ -700,7 +712,7 @@ class _LawTable:
     def first(self, x, q):
         """Index of the first law that passes the screen at (x, q), or None;
         the table holds at least one law.  Law 0 is screened alone first."""
-        tol_s = _KKT_TOL * max(1.0, float(abs(q).max(initial=0.0)))
+        tol_s = _KKT_TOL * max(1.0, *map(abs, q[: self._n_u].tolist()))
         if self._screen(self._head, x, tol_s)[0]:
             return 0
         if len(self._laws) == 1:
@@ -746,6 +758,9 @@ class AdaptiveController:
         self.solvers = {n: ParametricQP(tpl.Q, tpl.G) for n, tpl in templates.items()}
         maps = {n: _bound_map(tpl) for n, tpl in templates.items()}
         self.bound_maps = {n: S for n, (S, _) in maps.items()}
+        self._order = sorted(templates, reverse=True)  # the horizons' visiting order
+        # the S_n side by side in visiting order, d x (d H): one product gives every bound
+        self._bound_stack = np.hstack([self.bound_maps[n] for n in self._order])
         # horizon -> geometry.ProjectionCuts of F_n, built on its first INFEASIBLE verdict
         self.feasible_sets = {}
         # horizon -> _LawTable of its affine laws: the central law 0, stored on
@@ -755,13 +770,13 @@ class AdaptiveController:
     def _law_verdict(self, n, x, q):
         """OPTIMAL outcome from horizon n's first law that passes the screen
         at x (``_LawTable.first``), or None; the horizon's first call
-        stores its central law."""
+        stores its central law.  The outcome's ``solve_time`` is 0: the
+        horizon's ``HorizonResult.solve_time`` times the verdict."""
         laws = self.laws[n]
         if laws.central is None:
             laws.add_central()
         if not laws:
             return None
-        t0 = time.perf_counter()
         k = laws.first(x, q)
         if k is None:
             return None
@@ -773,7 +788,6 @@ class AdaptiveController:
             y_ineq=y,
             backend="law",
             diagnostics={"law": k, "factorizations": 0, "rho_updates": 0},
-            solve_time=time.perf_counter() - t0,
         )
 
     def _admm_verdict(self, n, x):
@@ -813,11 +827,15 @@ class AdaptiveController:
         """Minimum-cost feasible horizon at x_t, ties to the shortest.
 
         Horizons run longest first.  Horizon n is skipped when its lower
-        bound x'S_n x exceeds the best cost so far by more than float
-        rounding: its reported cost could only be larger, so it could not
-        win, and the selection equals that of solving every horizon.
-        Nothing is skipped until some horizon is feasible, so an
-        all-infeasible result still carries every horizon's verdict.
+        bound x'S_n x exceeds the best cost so far by more than
+        1e-9 (1 + |J|): its reported cost could only be larger, so it could
+        not win, and the selection equals that of solving every horizon.
+        All bounds come from one product (x' [S_N ... S_1]) x, which can
+        differ from x'S_n x by about 4.4e-16 (1 + |b|), far inside that
+        slack: a skipped horizon still has J_n >= x'S_n x > J_best, so N*,
+        J* and the inputs do not move.  Nothing is
+        skipped until some horizon is feasible, so an all-infeasible
+        result still carries every horizon's verdict.
 
         A horizon that is not skipped is first tested against the stored
         facets of its feasible set F_n: a state outside one by more than the
@@ -858,10 +876,10 @@ class AdaptiveController:
         per = []
         best = None  # (J, n, outcome)
         failed = False
-        for n in sorted(self.templates, reverse=True):
+        bounds = (x @ self._bound_stack).reshape(len(self._order), -1) @ x
+        for n, bound in zip(self._order, bounds.tolist()):
             tpl = self.templates[n]
             t0 = time.perf_counter()
-            bound = float(x @ self.bound_maps[n] @ x)
             if best is not None and bound > best[0] + 1e-9 * (1.0 + abs(best[0])):
                 per.append(
                     HorizonResult(n, None, None, time.perf_counter() - t0, pruned=True, bound=bound)
@@ -904,8 +922,8 @@ class AdaptiveController:
                 x_t=x,
             )
         J, n, out = best
-        tpl = self.templates[n]
-        u, M = tpl.extract(out.x_opt)
+        law0 = out.backend == "law" and out.diagnostics["law"] == 0
+        u, M = self.templates[n].extract(out.x_opt, self.laws[n].gains0 if law0 else None)
         x_next = self.sys.A_bar @ x + self.sys.B_bar @ u[0]
         return MPCSolution(
             status=SolveStatus.OPTIMAL,
@@ -958,8 +976,7 @@ class AdaptiveController:
             )
         m = self.sys.m
         u = sol.u_bar_star[1:].reshape(-1) + sol.M_star.M[m:, : self.sys.d] @ w
-        Q_uu = tpl.Q[: len(u), : len(u)]
-        return tpl.constant(x) + float(u @ (tpl._q_map @ x + 0.5 * (Q_uu @ u)))
+        return tpl.constant(x) + float(u @ (tpl._q_map @ x + 0.5 * (tpl.Q_uu @ u)))
 
 
 # ---------------------------------------------------------------------------

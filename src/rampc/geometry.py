@@ -18,6 +18,7 @@ order above the LP layer's 1e-8 accuracy.
 """
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 
@@ -40,6 +41,7 @@ _VERTEX_TOL = 1e-9
 _MAX_SUPPORT_LPS = 500
 # rows of [H h] scaled by max|H_i| that agree this closely are one halfspace
 _COINCIDENT_TOL = 1e-9
+_log = logging.getLogger(__name__)
 
 
 class Polytope:
@@ -417,6 +419,7 @@ def projection_cuts(G, R, h) -> ProjectionCuts:
         n_lps += 1
         out = solve_lp(np.concatenate([-c, pad]), lifted, h)
         if out.status is not SolveStatus.OPTIMAL:
+            _log.warning("projection_cuts: a support LP ended %s; the cuts are an outer bound", out.status)
             return None
         y = np.maximum(out.y_ineq, 0.0)
         total = y.sum()
@@ -458,7 +461,10 @@ def projection_cuts(G, R, h) -> ProjectionCuts:
                 continue  # confirmed already (Qhull may split a facet into pieces)
             if any(a @ q > b + FACET_TOL for q in found):
                 continue  # a point of this round already cuts the facet away
-            p = support_point(a) if n_lps < _MAX_SUPPORT_LPS else None
+            if n_lps >= _MAX_SUPPORT_LPS:
+                _log.warning("projection_cuts: stopped at the cap, %d support LPs; the cuts are an outer bound", n_lps)
+                return result()
+            p = support_point(a)
             if p is None:
                 return result()
             if a @ p > b + FACET_TOL:

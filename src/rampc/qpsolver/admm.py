@@ -46,6 +46,7 @@ a q in its range, so it is bounded below.
 """
 from __future__ import annotations
 
+import logging
 import time
 
 import numpy as np
@@ -56,6 +57,7 @@ from .lp import feasible_point
 from .types import SolveOutcome, SolveStatus
 
 KERNEL = "sparse"
+_log = logging.getLogger(__name__)
 
 _SIGMA = 1e-6
 _ALPHA = 1.6
@@ -354,4 +356,5 @@ class ParametricQP:
                     rho_scale = new_scale
                     rho_updates += 1
                     lu, rho, rho_inv = self._factor(rho_scale)
+        _log.warning("ADMM solve stopped at the iteration cap (%d) without a verdict", _MAX_ITER)
         return finish(SolveStatus.NUMERICAL_FAILURE)

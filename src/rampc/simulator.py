@@ -24,6 +24,7 @@ from .controller import (
     AdaptiveController,
     MPCConfig,
     MPCSolution,
+    min_slack,
     rollout_policy,
 )
 from .errors import SolverNumericalError
@@ -66,10 +67,6 @@ class SimulationTrace:
         return self.infeasible_at is None and self.violations == 0
 
 
-def _min_margin(P, v):
-    return float(np.min(P.h - P.H @ v))
-
-
 def _timed_solve(ctl, x):
     t0 = time.perf_counter()
     sol = ctl.solve(x)
@@ -91,6 +88,7 @@ def _run(sys, x0, steps, realization, decide) -> SimulationTrace:
         raise ValueError("realization too short for %d steps" % steps)
     A_true = realization.A_true(sys)
     B_true = realization.B_true(sys)
+    XH, Xh, UH, Uh = sys.X.H, sys.X.h, sys.U.H, sys.U.h
     states = np.empty((steps + 1, sys.d))
     inputs = np.empty((steps, sys.m))
     w_tilde = np.empty((steps, sys.d))
@@ -99,7 +97,7 @@ def _run(sys, x0, steps, realization, decide) -> SimulationTrace:
     for t in range(steps):
         sol, u, J_star, elapsed, bound = decide(t, states, inputs, w_tilde)
         x = states[t]
-        margin_x = _min_margin(sys.X, x)
+        margin_x = min_slack(XH, Xh, x)
         if not sol.is_feasible:
             if sol.status is SolveStatus.NUMERICAL_FAILURE:
                 trace.numerical_failure_at = t
@@ -114,7 +112,7 @@ def _run(sys, x0, steps, realization, decide) -> SimulationTrace:
             iss_gap = bound - J_star
             if J_star > bound + MARGIN_TOL * (1.0 + abs(J_star)):
                 trace.iss_violations += 1
-        margin_u = _min_margin(sys.U, u)
+        margin_u = min_slack(UH, Uh, u)
         if margin_x < -MARGIN_TOL or margin_u < -MARGIN_TOL:
             trace.violations += 1
         x_next = A_true @ x + B_true @ u + realization.w_sequence[t]
@@ -129,7 +127,7 @@ def _run(sys, x0, steps, realization, decide) -> SimulationTrace:
     trace.states = states[: n + 1]
     trace.inputs = inputs[:n]
     trace.w_tilde = w_tilde[:n]
-    trace.final_margin_x = _min_margin(sys.X, trace.states[-1])
+    trace.final_margin_x = min_slack(XH, Xh, trace.states[-1])
     if trace.final_margin_x < -MARGIN_TOL:
         trace.violations += 1
     return trace

@@ -161,7 +161,10 @@ def test_count_below_one_exits_2(command, flag, value, scalar_file, tmp_path, ca
     assert not (tmp_path / "x.out").exists()
 
 
-def test_roa_with_baseline_and_svg(tmp_path):
+def test_roa_with_baseline_and_svg(tmp_path, monkeypatch):
+    # the JSON and the SVG are pinned byte for byte; only the
+    # checkout-dependent problem path is masked, in each file once
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     out = tmp_path / "roa.json"
     svg = tmp_path / "roa.svg"
     rc = main(
@@ -175,6 +178,16 @@ def test_roa_with_baseline_and_svg(tmp_path):
     assert "baseline" in doc
     assert doc["baseline"]["mask_contained_in_proposed"] is True
     assert svg.read_text().startswith("<?xml")
+    path = json.dumps(str(default_problem_path())).encode()
+    digests = {}
+    for f in (out, svg):
+        data = f.read_bytes()
+        assert data.count(path) == 1
+        digests[f.suffix] = hashlib.sha256(data.replace(path, b'"<problem>"')).hexdigest()
+    assert digests == {
+        ".json": "f4f516a4cc32103373f99d50ac0953a6405c26cfc5055970c6a8d5b7e1a7ad97",
+        ".svg": "595620e37b36920cbd0deb88bdd781b4f4bb9995e41aa328ced4d16304cc98ee",
+    }
 
 
 def test_rollout_cmd(scalar_file, tmp_path):

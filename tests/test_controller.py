@@ -715,6 +715,26 @@ class TestPruning:
                 assert (r.status is None and r.cost is None) == r.pruned
                 assert not (r.pruned and r.farkas is not None)
 
+    @pytest.mark.parametrize("bank", ["adaptive", "baseline"])
+    def test_stacked_bounds_keep_the_per_horizon_rule(self, bank, bank_cases):
+        # the bounds come from one stacked product: each is within 1e-12
+        # relative of x'S_n x, and the pruned/solved pattern is the one the
+        # per-horizon bounds give against the reported costs, longest first
+        ctl, cases = bank_cases[bank]
+        pruned = 0
+        for name, items in cases.items():
+            for x, sol, _ in items:
+                best = None
+                for r in reversed(sol.per_horizon):
+                    ref = float(x @ ctl.bound_maps[r.N_t] @ x)
+                    assert abs(r.bound - ref) <= 1e-12 * (1.0 + abs(ref)), (bank, name, x, r.N_t)
+                    rule = best is not None and ref > best + 1e-9 * (1.0 + abs(best))
+                    assert r.pruned == rule, (bank, name, x, r.N_t)
+                    pruned += rule
+                    if r.cost is not None and (best is None or r.cost < best):
+                        best = r.cost
+        assert pruned > 0 or bank == "baseline"
+
     def test_origin_prunes_nothing(self, default_controller):
         # (d) every horizon costs 0 at the origin: all are solved, the shortest wins
         sol = default_controller.solve(np.zeros(2))
@@ -1162,6 +1182,30 @@ class TestCentral:
                 accepted += central
             assert 0 < accepted < len(xs), (bank, n, accepted)
 
+    def test_law0_winners_share_the_gains_built_once(self, monkeypatch, default_problem, default_cfg):
+        # a plan won by a central law 0 carries the FeedbackGainStack stored
+        # with that law: the same read-only object on every such solve, equal
+        # entry for entry to what extract builds from the outcome's point
+        ctl = AdaptiveController(default_problem.system, default_cfg)
+        laws = _recording_laws(monkeypatch, ctl)
+        real = sample_realization(default_problem.system, 10, seed=_bank_seed(0))
+        trace = simulate_closed_loop(
+            default_problem.system, default_cfg, X0_SET[0], 10, real, controller=ctl
+        )
+        wins = dict.fromkeys(ctl.templates, 0)
+        for x in trace.states:
+            laws.clear()
+            sol = ctl.solve(x)
+            out = {n: o for n, _, _, o in laws}.get(sol.N_star)
+            if not _settled_by_law0(ctl, sol.N_star, out):
+                continue
+            assert sol.M_star is ctl.laws[sol.N_star].gains0
+            built = ctl.templates[sol.N_star].extract(out.x_opt)[1]
+            assert built is not sol.M_star and np.array_equal(built.M, sol.M_star.M)
+            assert not sol.M_star.M.flags.writeable
+            wins[sol.N_star] += 1
+        assert max(c for n, c in wins.items() if n >= 2) >= 2, wins
+
     def test_central_horizons_without_origin_solve(self, monkeypatch, default_problem, default_cfg):
         # N_t = 1 has no feedback or absolute-value variables: its law 0 is
         # the unconstrained gain alone, stored without an origin solve
@@ -1272,6 +1316,26 @@ class TestLaws:
                 assert np.array_equal(a.u_bar_star, b.u_bar_star)
             admm += sum(r.backend == "sparse" and r.status is SolveStatus.OPTIMAL for r in b.per_horizon)
         assert admm > 0
+
+    def test_point_equals_the_affine_formula(self, bank_cases, default_problem):
+        # every law's point z_k + Z (x - x_k) on its columns and multipliers
+        # y_k + Y (x - x_k) on its active rows, formed with index arrays, bit
+        # for bit; the central law 0 adds its gain on a slice
+        ctl, _ = bank_cases["adaptive"]
+        lo, hi = default_problem.system.X.bounding_box()
+        xs = np.random.default_rng(11).uniform(lo, hi, size=(200, 2))
+        kinds = set()
+        for n, table in ctl.laws.items():
+            for k, (x_k, z_k, cols, Z, y_k, active, Y) in enumerate(table._laws):
+                idx = np.arange(len(z_k))[cols]
+                kinds.add(isinstance(cols, slice))
+                for x in xs:
+                    z, y = table.point(k, x)
+                    z_ref, y_ref = z_k.copy(), y_k.copy()
+                    z_ref[idx] += Z @ (x - x_k)
+                    y_ref[active] += Y @ (x - x_k)
+                    assert np.array_equal(z, z_ref) and np.array_equal(y, y_ref), (n, k, x)
+        assert kinds == {True, False}  # central laws 0 and ADMM laws
 
     def test_law_at_its_own_state_returns_the_admm_result(self, default_problem, default_cfg):
         # each law stored from an ADMM result (every law after the central

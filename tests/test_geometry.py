@@ -1,4 +1,6 @@
 """Geometry operations against analytic and enumeration oracles."""
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -549,16 +551,19 @@ class TestProjectionCuts:
         cut = Polytope(cuts.normals, cuts.offsets)
         assert is_subset(octahedron, cut) and is_subset(cut, octahedron)
 
-    def test_lp_cap_or_qhull_error_ends_the_build_with_valid_cuts(self, monkeypatch):
+    def test_lp_cap_or_qhull_error_ends_the_build_with_valid_cuts(self, monkeypatch, caplog):
         signs = np.array([[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)], float)
         G, R, h = self._lifted_copy(signs, np.ones(8))
         octahedron = Polytope(signs, np.ones(8))
-        # at the cap, in the middle of the first round
+        # at the cap, in the middle of the first round; the stop is logged
         monkeypatch.setattr(geometry, "_MAX_SUPPORT_LPS", 9)
-        cuts = projection_cuts(G, R, h)
+        with caplog.at_level(logging.WARNING, logger="rampc"):
+            cuts = projection_cuts(G, R, h)
         self._check_multipliers(cuts, G, R, h)
         assert cuts.n_lps == len(cuts) == 9
         assert is_subset(octahedron, Polytope(cuts.normals, cuts.offsets))
+        assert [r.name for r in caplog.records] == ["rampc.geometry"]
+        assert "the cap, 9 support LPs" in caplog.records[0].getMessage()
         monkeypatch.undo()
 
         # Qhull fails on every hull: the two planes that bound the points
@@ -573,13 +578,19 @@ class TestProjectionCuts:
         assert cuts.n_lps == len(cuts) == 8
         assert is_subset(octahedron, Polytope(cuts.normals, cuts.offsets))
 
-    def test_empty_or_unbounded_set_ends_the_build(self):
+    def test_empty_or_unbounded_set_ends_the_build(self, caplog):
         # empty: the first support LP is infeasible and no cut is kept
         G, R, h = self._lifted_copy(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, -1.0]))
-        cuts = projection_cuts(G, R, h)
+        with caplog.at_level(logging.WARNING, logger="rampc"):
+            cuts = projection_cuts(G, R, h)
         assert len(cuts) == 0 and cuts.n_lps == 1 and not cuts
         # unbounded towards -e_1: the cuts found before that direction stay
         G, R, h = self._lifted_copy(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.ones(3))
-        cuts = projection_cuts(G, R, h)
+        with caplog.at_level(logging.WARNING, logger="rampc"):
+            cuts = projection_cuts(G, R, h)
         assert cuts.n_lps == 3 and len(cuts) == 2
         assert np.all(cuts.normals @ np.array([1.0, 1.0]) <= cuts.offsets + 1e-9)
+        # each stop at a non-OPTIMAL support LP is logged with its status
+        messages = [r.getMessage() for r in caplog.records if r.name == "rampc.geometry"]
+        assert len(messages) == 2
+        assert "ended infeasible" in messages[0] and "ended unbounded" in messages[1]

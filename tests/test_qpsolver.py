@@ -1,4 +1,5 @@
 """Contract tests for the LP/QP layer."""
+import logging
 import warnings
 
 import numpy as np
@@ -86,16 +87,21 @@ def test_degenerate_cost_block():
     assert abs(out.x_opt[0] - 1.0) < 1e-7  # unconstrained minimum of (x0-1)^2
 
 
-def test_unbounded_qp_ends_in_numerical_failure(monkeypatch):
+def test_unbounded_qp_ends_in_numerical_failure(monkeypatch, caplog):
     # no QP the package poses is unbounded below (see the test that follows),
     # so an unbounded one runs to the cap: the probe finds it feasible, and
-    # the step-size rule at a zero primal residual raises no warning
+    # the step-size rule at a zero primal residual raises no warning; the
+    # cap is logged once to the package logger, which has a NullHandler so
+    # that it stays silent until the application configures logging
     monkeypatch.setattr(admm, "_MAX_ITER", 500)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="rampc"):
         warnings.simplefilter("error")
         out = _solve([[0.0]], [-1.0], [[-1.0]], [0.0])
     assert out.status is SolveStatus.NUMERICAL_FAILURE
     assert out.iterations == 500 and out.x_opt is None
+    assert [(r.name, r.levelno) for r in caplog.records] == [("rampc.qpsolver.admm", logging.WARNING)]
+    assert "iteration cap (500)" in caplog.records[0].getMessage()
+    assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("rampc").handlers)
 
 
 def test_every_template_qp_is_bounded_below(default_problem, default_controller, baseline_controller):
