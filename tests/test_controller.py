@@ -395,6 +395,43 @@ def baseline_controller(default_problem, default_cfg):
     return BaselineController(prob.system, bcfg)
 
 
+def test_template_bytes_pinned(default_controller, baseline_controller):
+    # sha256 over the shape and float64 bytes of Q_uu, q_map, const_map, Q,
+    # G, h_base and rhs_map, in that order: horizons 1..5 of the default
+    # bank, the default baseline's template, and horizons 1 and 3 of a
+    # seeded d = 3, m = 2 bank
+    from rampc.controller import MPCConfig
+    from rampc.system import net_additive_bound
+
+    def digest(tpl):
+        fields = (tpl.Q_uu, tpl._q_map, tpl._const_map, tpl.Q, tpl.G, tpl._h_base, tpl._rhs_map)
+        h = hashlib.sha256()
+        for a in fields:
+            h.update(repr(a.shape).encode() + np.ascontiguousarray(a, dtype=np.float64).tobytes())
+        return h.hexdigest()
+
+    sys, K = random_stable_system(np.random.default_rng(13), d=3, m=2)
+    term = synthesize_terminal(sys, K, np.eye(3), np.eye(2), hull_samples=20)
+    cfg = MPCConfig(P=np.eye(3), R=np.eye(2), N=3, terminal=term, bound=net_additive_bound(sys))
+    random_bank = AdaptiveController(sys, cfg).templates
+    got = {
+        **{"default %d" % n: digest(tpl) for n, tpl in default_controller.templates.items()},
+        "baseline": digest(baseline_controller.template),
+        "d3m2 1": digest(random_bank[1]),
+        "d3m2 3": digest(random_bank[3]),
+    }
+    assert got == {
+        "default 1": "a803a4cf746f19eeb6da6c7b6f7f9c9391ec4814311128e387db652bf6dad455",
+        "default 2": "9d5666ad35be0822c00f4cd3d778db842fa9f41c95c2a779d5932cf205b0b04b",
+        "default 3": "18c14ac7ec83b65f95f84264f8d0011977ffefe01456515bfb5827f8204a0a95",
+        "default 4": "c18c5091791d94495686c40ce0cb006be11e9ef9e585d369a73e5be57282b49f",
+        "default 5": "343fa97d684dcabef76efa7c821fade565765772a977889b646871e2e114b1b6",
+        "baseline": "130ac55d0c8f559b03fddc6af8ad5f37abb87314b90395b3f198a601352dcff7",
+        "d3m2 1": "c12f62b7b7276c37716dc01eaccc3a39109d074734cb207e93c4e31a7bf3dabe",
+        "d3m2 3": "3935a95dd52ce00245f17dc2247d6db6327f30172598d7949eccef03d4b71c26",
+    }
+
+
 @pytest.fixture(scope="module")
 def own_controller(default_problem, default_cfg):
     """A controller apart from the session's: the far-state tests build its
