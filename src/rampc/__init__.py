@@ -10,7 +10,9 @@ A controller is an object prepared once per system and config,
 ``AdaptiveController`` or ``BaselineController``: ``solve(x)`` returns an
 ``MPCSolution`` (an all-infeasible bank is data) and ``step(x)`` the applied
 input, raising ``AllHorizonsInfeasibleError`` instead.  One horizon's QP is
-posed by ``controller.Case1Template``/``CaseNTemplate`` and ``parts(x)``.
+posed by ``parts(x)`` of a ``controller.HorizonTemplate``: the exact
+one-step ``Case1Template`` and the tightened ``CaseNTemplate`` share its
+cost and layout and differ only in their constraint rows.
 Rare events go to the ``rampc`` logger, silent until logging is configured.
 """
 import logging

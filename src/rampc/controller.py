@@ -11,6 +11,9 @@ Constraint robustification is split by horizon length:
   dual-norm term  wtilde_max * ||(C M + G)' f||_1, encoded exactly through
   per-entry absolute-value variables.
 
+Only the constraint rows differ: both cases share the nominal cost and the
+layout of the decision vector (``HorizonTemplate``).
+
 At every step the cheapest feasible horizon wins (ties go to the shortest
 horizon).  The horizons are tried longest first, and a horizon is solved
 only if its exact lower bound x' S_n x -- the unconstrained minimum of its
@@ -265,78 +268,110 @@ def config_from_problem(prob, *, hull_samples=1000) -> MPCConfig:
 # ---------------------------------------------------------------------------
 
 
-class Case1Template:
+class HorizonTemplate:
+    """One horizon's QP, min 1/2 z'Qz + q(x)'z + constant(x) s.t. G z <= h_base - rhs_map x.
+
+    Both cases share the cost and the layout of z, and differ only in the
+    rows that a subclass hands to ``_pose``.  z = (n_u = m N nominal
+    inputs, n_m causal feedback-gain entries, the rows' own variables).  Only
+    the nominal inputs carry cost: Q is ``Q_uu`` padded with zeros to the
+    n_vars columns of G, and q(x) = [q_map x; 0].
+    """
+
+    def __init__(self, sys, horizon):
+        d, m, N = sys.d, sys.m, horizon
+        self._sd = build_stacked(sys.A_bar, sys.B_bar, N)
+        self.horizon = N
+        self.d, self.m = d, m
+        self.n_u = m * N
+        # the strictly lower gain blocks (k, l < k), row-major, m x d entries each
+        blocks = [(k, l) for k in range(1, N) for l in range(k)]
+        self.n_m = len(blocks) * m * d
+        # flat positions in the (m N) x (d N) gain matrix of z[n_u : n_u + n_m]
+        i, j = np.divmod(np.arange(m * d), d)
+        self._m_flat = np.array(
+            [(k * m + i) * (d * N) + l * d + j for k, l in blocks], dtype=np.intp
+        ).reshape(-1)
+
+    def _pose(self, G, h_base, rhs_map, P, R, P_N):
+        """Pose the QP: the rows G z <= h_base - rhs_map x and the cost over G's columns."""
+        self.G, self.h_base, self.rhs_map = G, h_base, rhs_map
+        self.n_vars = G.shape[1]
+        d, N, sd = self.d, self.horizon, self._sd
+        P_bar = np.zeros((d * N, d * N))
+        for k in range(1, N):
+            P_bar[(k - 1) * d : k * d, (k - 1) * d : k * d] = P
+        P_bar[(N - 1) * d :, (N - 1) * d :] = P_N
+        R_bar = np.kron(np.eye(N), R)
+        Qu = 2.0 * (sd.C.T @ P_bar @ sd.C + R_bar)
+        self.Q = np.zeros((self.n_vars, self.n_vars))
+        self.Q[: self.n_u, : self.n_u] = Qu
+        self.Q_uu = self.Q[: self.n_u, : self.n_u]  # the nominal-input block, a view
+        self.q_map = 2.0 * sd.C.T @ P_bar @ sd.A_stack
+        self.const_map = P + sd.A_stack.T @ P_bar @ sd.A_stack
+
+    def q(self, x):
+        """The QP's linear cost q(x), nonzero in the nominal inputs only."""
+        q = np.zeros(self.n_vars)
+        q[: self.n_u] = self.q_map @ x
+        return q
+
+    def parts(self, x):
+        """(q(x), h(x)) of the QP at x."""
+        return self.q(x), self.h_base - self.rhs_map @ x
+
+    def constant(self, x):
+        return float(x @ self.const_map @ x)
+
+    def extract(self, z, gains=None):
+        """(u, gains) of z; ``gains``, when given, stands in for z's own."""
+        u = z[: self.n_u].reshape(self.horizon, self.m)
+        if gains is not None:
+            return u, gains
+        M = np.zeros((self.m * self.horizon, self.d * self.horizon))
+        np.put(M, self._m_flat, z[self.n_u : self.n_u + self.n_m])  # causal slots only
+        return u, FeedbackGainStack(self.horizon, self.d, self.m, M, check=False)
+
+
+class Case1Template(HorizonTemplate):
     """Exact robust one-step problem: vertex-pair enumeration + W support."""
 
     def __init__(self, sys: UncertainSystem, terminal: TerminalComponents, P, R):
-        d, m = sys.d, sys.m
+        super().__init__(sys, 1)
         H_N, h_N = terminal.X_N.H, terminal.X_N.h
         w_sup = np.array([support(sys.W, row) for row in H_N])
         g_blocks = []
-        rhs_maps = []  # rhs = h_base - map @ x_t
+        rhs_maps = []
         h_base = []
         for dA in sys.deltaA_vertices:
             for dB in sys.deltaB_vertices:
                 g_blocks.append(H_N @ (sys.B_bar + dB))
                 rhs_maps.append(H_N @ (sys.A_bar + dA))
                 h_base.append(h_N - w_sup)
-        self.G = np.vstack(g_blocks + [sys.U.H])
-        self._rhs_map = np.vstack(rhs_maps + [np.zeros((sys.U.n_rows, d))])
-        self._h_base = np.concatenate(h_base + [sys.U.h])
-        P_N = terminal.P_N
-        self.Q = self.Q_uu = 2.0 * (R + sys.B_bar.T @ P_N @ sys.B_bar)
-        self._q_map = 2.0 * sys.B_bar.T @ P_N @ sys.A_bar
-        self._const_map = P + sys.A_bar.T @ P_N @ sys.A_bar
-        self.n_vars = m
-        self.horizon = 1
-        self.d, self.m = d, m
+        self._pose(
+            np.vstack(g_blocks + [sys.U.H]),
+            np.concatenate(h_base + [sys.U.h]),
+            np.vstack(rhs_maps + [np.zeros((sys.U.n_rows, sys.d))]),
+            P, R, terminal.P_N,
+        )
 
-    def q(self, x):
-        """The QP's linear cost q(x)."""
-        return self._q_map @ x
-
-    def parts(self, x):
-        """(q(x), h(x)) of the QP at x."""
-        return self.q(x), self._h_base - self._rhs_map @ x
-
-    def constant(self, x):
-        return float(x @ self._const_map @ x)
-
-    def extract(self, z, gains=None):
-        u = z[: self.m].reshape(1, self.m)
-        return u, FeedbackGainStack.zeros(1, self.d, self.m) if gains is None else gains
+    parts = HorizonTemplate.parts  # own ``__dict__`` entry: tracers tell the cases apart
 
 
-class CaseNTemplate:
+class CaseNTemplate(HorizonTemplate):
     """Dual-norm tightened problem over a stacked horizon.
 
-    Decision vector z = (ubar stack, vec of strictly-lower M blocks, one
-    absolute-value variable per potentially nonzero entry of (CM+G)'f per
-    tightened row).  Valid for horizon >= 1; with horizon 1 there are no M
-    blocks and the construction degenerates to the fully lumped one-step
-    problem (used by the conservative baseline).
+    z's row variables are one absolute-value variable per potentially
+    nonzero entry of (CM+G)'f per tightened row.  Valid for horizon >= 1;
+    with horizon 1 there are no M blocks and the construction degenerates
+    to the fully lumped one-step problem (used by the conservative
+    baseline).
     """
 
     def __init__(self, sys, terminal_H, terminal_h, P, R, P_N, w_tilde_max, horizon):
-        d, m, N = sys.d, sys.m, horizon
-        sd = build_stacked(sys.A_bar, sys.B_bar, N)
-        self.horizon = N
-        self.d, self.m = d, m
+        super().__init__(sys, horizon)
+        d, m, N, sd = sys.d, sys.m, horizon, self._sd
         self.w_tilde_max = float(w_tilde_max)
-
-        self.n_u = m * N
-        self._m_index = {}
-        base = self.n_u
-        for k in range(1, N):
-            for l in range(k):
-                self._m_index[(k, l)] = base
-                base += m * d
-        self.n_m = base - self.n_u
-        # flat positions in the (m N) x (d N) gain matrix of z[n_u : n_u + n_m]
-        i, j = np.divmod(np.arange(m * d), d)
-        self._m_flat = np.array(
-            [(k * m + i) * (d * N) + l * d + j for k, l in self._m_index], dtype=np.intp
-        ).reshape(-1)
 
         # gather tightened rows: phi (input coeffs), g (constant part of
         # (CM+G)'f), the aux support size, the base offset and the x_t map
@@ -364,10 +399,10 @@ class CaseNTemplate:
                 )
 
         n_aux = sum(row["supp"] for row in tight)
-        self.n_vars = self.n_u + self.n_m + n_aux
+        n_vars = self.n_u + self.n_m + n_aux
         n_main = len(tight)
         n_rows = n_main + 2 * n_aux
-        G = np.zeros((n_rows, self.n_vars))
+        G = np.zeros((n_rows, n_vars))
         h_base = np.zeros(n_rows)
         rhs_map = np.zeros((n_rows, d))
         aux_base = self.n_u + self.n_m
@@ -386,7 +421,7 @@ class CaseNTemplate:
                 a_col = aux_base + t
                 rp, rm = r, r + 1
                 for k in range(l + 1, N):
-                    mi = self._m_index[(k, l)]
+                    mi = self.n_u + (k * (k - 1) // 2 + l) * m * d  # block (k, l)
                     for i2 in range(m):
                         coeff = phi[k * m + i2]
                         if coeff != 0.0:
@@ -399,47 +434,12 @@ class CaseNTemplate:
                 h_base[rm] = g[t]
                 r += 2
             aux_base += supp
-        assert r == n_rows and aux_base == self.n_vars
-        self.G = G
-        self._h_base = h_base
-        self._rhs_map = rhs_map
+        assert r == n_rows and aux_base == n_vars
         self.n_main = n_main
         self._tight = tight
+        self._pose(G, h_base, rhs_map, P, R, P_N)
 
-        # cost: quadratic in the nominal input stack only
-        P_bar = np.zeros((d * N, d * N))
-        for k in range(1, N):
-            P_bar[(k - 1) * d : k * d, (k - 1) * d : k * d] = P
-        P_bar[(N - 1) * d :, (N - 1) * d :] = P_N
-        R_bar = np.kron(np.eye(N), R)
-        Qu = 2.0 * (sd.C.T @ P_bar @ sd.C + R_bar)
-        self.Q = np.zeros((self.n_vars, self.n_vars))
-        self.Q[: self.n_u, : self.n_u] = Qu
-        self.Q_uu = self.Q[: self.n_u, : self.n_u]  # the nominal-input block, a view
-        self._q_map = 2.0 * sd.C.T @ P_bar @ sd.A_stack
-        self._const_map = P + sd.A_stack.T @ P_bar @ sd.A_stack
-
-    def q(self, x):
-        """The QP's linear cost q(x), nonzero in the nominal inputs only."""
-        q = np.zeros(self.n_vars)
-        q[: self.n_u] = self._q_map @ x
-        return q
-
-    def parts(self, x):
-        """(q(x), h(x)) of the QP at x."""
-        return self.q(x), self._h_base - self._rhs_map @ x
-
-    def constant(self, x):
-        return float(x @ self._const_map @ x)
-
-    def extract(self, z, gains=None):
-        """(u, gains) of z; ``gains``, when given, stands in for z's own."""
-        u = z[: self.n_u].reshape(self.horizon, self.m)
-        if gains is not None:
-            return u, gains
-        M = np.zeros((self.m * self.horizon, self.d * self.horizon))
-        np.put(M, self._m_flat, z[self.n_u : self.n_u + self.n_m])  # causal slots only
-        return u, FeedbackGainStack(self.horizon, self.d, self.m, M, check=False)
+    parts = HorizonTemplate.parts  # own ``__dict__`` entry: tracers tell the cases apart
 
     def central_offset(self, z):
         """[0; M; a] with z's feedback gains M and every absolute-value
@@ -550,8 +550,8 @@ def _bound_map(tpl):
     S = const_map - 1/2 q_map' Q_uu^-1 q_map, from one linear solve.  S
     lower-bounds the objective at *any* z, feasible or not.
     """
-    Y = np.linalg.solve(tpl.Q_uu, tpl._q_map)
-    S = tpl._const_map - 0.5 * tpl._q_map.T @ Y
+    Y = np.linalg.solve(tpl.Q_uu, tpl.q_map)
+    S = tpl.const_map - 0.5 * tpl.q_map.T @ Y
     return 0.5 * (S + S.T), -Y
 
 
@@ -594,11 +594,6 @@ class _LawTable:
         self.tpl = tpl
         self.solver = solver
         self._K = K
-        d = tpl._rhs_map.shape[1]
-        self._q_map = np.zeros((tpl.n_vars, d))  # q(x) = q_map x over all of z
-        self._q_map[: tpl._q_map.shape[0]] = tpl._q_map
-        self._q_cols = np.any(tpl.Q != 0.0, axis=0)
-        self._n_u = tpl._q_map.shape[0]  # q(x) is zero past the nominal inputs
         self.central = None  # whether law 0 is the central law, once add_central has run
         self.gains0 = None  # the central law's FeedbackGainStack, which x does not move
         self._laws = []  # (x_k, z_k, cols, Z, y_k, active, Y)
@@ -638,13 +633,14 @@ class _LawTable:
         stationarity = solver.Q @ z + q + solver.At @ y
         active = np.flatnonzero(primal >= -_ACTIVE_SLACK * (1.0 + np.abs(h)))
         G_A = tpl.G[active]
-        cols = np.flatnonzero(self._q_cols | np.any(G_A != 0.0, axis=0))
+        cols = np.union1d(np.arange(tpl.n_u), np.flatnonzero(np.any(G_A != 0.0, axis=0)))
         k = len(cols)
         kkt = np.zeros((k + len(active), k + len(active)))
         kkt[:k, :k] = tpl.Q[np.ix_(cols, cols)]
         kkt[:k, k:] = G_A[:, cols].T
         kkt[k:, :k] = G_A[:, cols]
-        rhs = np.vstack([-self._q_map[cols], -tpl._rhs_map[active]])
+        # cols lists the n_u nominal inputs first, and only they carry q_map
+        rhs = np.vstack([-tpl.q_map, np.zeros((k - tpl.n_u, tpl.d)), -tpl.rhs_map[active]])
         sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
         Z, Y = sol[:k], sol[k:]
         entries = self._kept(primal, y, stationarity, cols, Z, active, Y)
@@ -656,11 +652,13 @@ class _LawTable:
         """Kept (offsets, slopes) of a law's primal, multiplier and
         stationarity residuals, from their values at the anchor."""
         tpl = self.tpl
+        QZ_q = tpl.Q[:, cols] @ Z
+        QZ_q[: tpl.n_u] += tpl.q_map
         # (offsets, slopes, the measure whose largest constant entry is kept)
         maps = (
-            (primal, tpl.G[:, cols] @ Z + tpl._rhs_map, lambda v: v),
+            (primal, tpl.G[:, cols] @ Z + tpl.rhs_map, lambda v: v),
             (y[active], Y, None),
-            (stationarity, tpl.Q[:, cols] @ Z + self._q_map + tpl.G[active].T @ Y, np.abs),
+            (stationarity, QZ_q + tpl.G[active].T @ Y, np.abs),
         )
         entries = []
         for offset, slope, worst in maps:
@@ -712,7 +710,7 @@ class _LawTable:
     def first(self, x, q):
         """Index of the first law that passes the screen at (x, q), or None;
         the table holds at least one law.  Law 0 is screened alone first."""
-        tol_s = _KKT_TOL * max(1.0, *map(abs, q[: self._n_u].tolist()))
+        tol_s = _KKT_TOL * max(1.0, *map(abs, q[: self.tpl.n_u].tolist()))
         if self._screen(self._head, x, tol_s)[0]:
             return 0
         if len(self._laws) == 1:
@@ -770,8 +768,7 @@ class AdaptiveController:
     def _law_verdict(self, n, x, q):
         """OPTIMAL outcome from horizon n's first law that passes the screen
         at x (``_LawTable.first``), or None; the horizon's first call
-        stores its central law.  The outcome's ``solve_time`` is 0: the
-        horizon's ``HorizonResult.solve_time`` times the verdict."""
+        stores its central law."""
         laws = self.laws[n]
         if laws.central is None:
             laws.add_central()
@@ -810,7 +807,6 @@ class AdaptiveController:
         cuts = self.feasible_sets.get(n)
         if not cuts:
             return None
-        t0 = time.perf_counter()
         g = cuts.offsets - cuts.normals @ x
         i = int(np.argmin(g))
         if g[i] >= -_FACET_MARGIN * (1.0 + abs(cuts.offsets[i])):
@@ -820,7 +816,6 @@ class AdaptiveController:
             farkas={"y": cuts.Y[i], "nu": np.zeros(0), "gap": float(g[i])},
             backend="facets",
             diagnostics={"facet": i, "factorizations": 0, "rho_updates": 0},
-            solve_time=time.perf_counter() - t0,
         )
 
     def solve(self, x_t) -> MPCSolution:
@@ -891,7 +886,7 @@ class AdaptiveController:
                 q = tpl.q(x)
                 out = self._law_verdict(n, x, q) or self._admm_verdict(n, x)
                 if out.status is SolveStatus.INFEASIBLE and n not in self.feasible_sets:
-                    self.feasible_sets[n] = projection_cuts(tpl.G, tpl._rhs_map, tpl._h_base)
+                    self.feasible_sets[n] = projection_cuts(tpl.G, tpl.rhs_map, tpl.h_base)
                     out = self._facet_verdict(n, x) or out
             elapsed = time.perf_counter() - t0
             if out.status is SolveStatus.OPTIMAL:
@@ -976,7 +971,7 @@ class AdaptiveController:
             )
         m = self.sys.m
         u = sol.u_bar_star[1:].reshape(-1) + sol.M_star.M[m:, : self.sys.d] @ w
-        return tpl.constant(x) + float(u @ (tpl._q_map @ x + 0.5 * (tpl.Q_uu @ u)))
+        return tpl.constant(x) + float(u @ (tpl.q_map @ x + 0.5 * (tpl.Q_uu @ u)))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ a q in its range, so it is bounded below.
 from __future__ import annotations
 
 import logging
-import time
 
 import numpy as np
 import scipy.sparse as sp
@@ -292,7 +291,6 @@ class ParametricQP:
 
     # -- main solve -----------------------------------------------------------
     def solve(self, q, h_ineq) -> SolveOutcome:
-        t0 = time.perf_counter()
         q = np.ascontiguousarray(np.asarray(q, dtype=float).reshape(-1))
         h = np.ascontiguousarray(np.asarray(h_ineq, dtype=float).reshape(-1))
         # scaled data
@@ -315,11 +313,9 @@ class ParametricQP:
                 "factorizations": len(self._factor_cache) - n_factors,
                 "rho_updates": rho_updates,
             }
-            out = SolveOutcome(
+            return SolveOutcome(
                 status=status, backend=KERNEL, iterations=iters, diagnostics=diag, **kw
             )
-            out.solve_time = time.perf_counter() - t0
-            return out
 
         while iters < _MAX_ITER:
             x, z, y, dy = _admm_batch(

@@ -6,8 +6,6 @@ Convention: ``solve_lp`` MINIMIZES c'x; callers wanting a maximum negate.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 from scipy.optimize import linprog
 
@@ -49,7 +47,6 @@ def solve_lp(c, G_ineq, h_ineq) -> SolveOutcome:
     Distinguishes INFEASIBLE from UNBOUNDED; an INFEASIBLE verdict always
     carries a verified Farkas certificate.
     """
-    t0 = time.perf_counter()
     c = np.asarray(c, dtype=float).reshape(-1)
     G = np.atleast_2d(np.asarray(G_ineq, dtype=float))
     h = np.asarray(h_ineq, dtype=float).reshape(-1)
@@ -66,7 +63,6 @@ def solve_lp(c, G_ineq, h_ineq) -> SolveOutcome:
             out.status = SolveStatus.NUMERICAL_FAILURE
         else:
             out.farkas = cert
-    out.solve_time = time.perf_counter() - t0
     return out
 
 

@@ -51,13 +51,14 @@ class SolveOutcome:
     (``perfbench/tracing.py``) reads it.  Every ADMM solve (and every
     "facets" or "law" outcome, with zeros) fills ``diagnostics`` with
     ``factorizations`` (factor-cache misses during this solve) and
-    ``rho_updates`` (step-size changes during this solve).
+    ``rho_updates`` (step-size changes during this solve).  An outcome
+    carries no time: ``controller.HorizonResult.solve_time`` times each
+    horizon's verdict.
     """
 
     status: SolveStatus
     x_opt: np.ndarray | None = None
     objective: float = float("nan")
-    solve_time: float = 0.0
     y_ineq: np.ndarray | None = None
     farkas: dict | None = None
     iterations: int = 0

@@ -241,6 +241,8 @@ def _load_matrix(obj, path, shape=None):
         M = np.atleast_2d(np.asarray(obj, dtype=float))
     except (TypeError, ValueError):
         raise ProblemFormatError(path, "not a numeric matrix") from None
+    if not np.isfinite(M).all():
+        raise ProblemFormatError(path, "entries must be finite")
     if shape is not None and M.shape != shape:
         raise ProblemFormatError(path, "shape %s, expected %s" % (M.shape, shape))
     return M
@@ -252,9 +254,17 @@ def _load_polytope(obj, path, dim=None):
         P = Polytope.from_dict(obj)
     except Exception as exc:
         raise ProblemFormatError(path, str(exc)) from None
+    if not (np.isfinite(P.H).all() and np.isfinite(P.h).all()):
+        raise ProblemFormatError(path, "entries must be finite")
     if dim is not None and P.dim != dim:
         raise ProblemFormatError(path, "dimension %d, expected %d" % (P.dim, dim))
     return P
+
+
+def _load_int(obj, path, least):
+    if not isinstance(obj, int) or isinstance(obj, bool) or obj < least:
+        raise ProblemFormatError(path, "must be an integer >= %d" % least)
+    return obj
 
 
 def _check_pd(M, path):
@@ -296,14 +306,12 @@ def load_problem_dict(data: dict, origin="problem") -> ProblemDefinition:
     R = _load_matrix(_require(cost, "R", "cost"), "cost.R", shape=(m, m))
     _check_pd(R, "cost.R")
     K = _load_matrix(_require(data, "K", ""), "K", shape=(m, d))
-    N = _require(data, "N", "")
-    if not isinstance(N, int) or N < 1:
-        raise ProblemFormatError("N", "must be an integer >= 1")
+    N = _load_int(_require(data, "N", ""), "N", 1)
     seed = 0
     if "rng" in data:
         if not isinstance(data["rng"], dict) or "seed" not in data["rng"]:
             raise ProblemFormatError("rng", 'expected {"seed": int}')
-        seed = int(data["rng"]["seed"])
+        seed = _load_int(data["rng"]["seed"], "rng.seed", 0)
     try:
         system = UncertainSystem(
             A_bar=A, B_bar=B, deltaA_vertices=dA, deltaB_vertices=dB, W=W, X=X, U=U

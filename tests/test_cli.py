@@ -113,6 +113,23 @@ def test_malformed_problem_exits_2(tmp_problem_file, tmp_path, capsys):
     assert "cost.P" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, command",
+    [
+        ("rng", {"seed": "abc"}, ["simulate", "--x0", "0.5", "--steps", "2"]),
+        ("A_bar", [[float("nan")]], ["terminal-set"]),
+    ],
+)
+def test_bad_problem_entry_exits_2(key, value, command, tmp_problem_file, tmp_path, capsys):
+    # a seed that is not an integer, a matrix entry that is not finite
+    data = scalar_problem_dict()
+    data[key] = value
+    path = tmp_problem_file(data)
+    rc = main(command + ["--problem", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
 def test_unstable_gain_exits_3(tmp_problem_file, tmp_path):
     data = scalar_problem_dict(k=0.5)  # a_cl = 1.5: unstable
     path = tmp_problem_file(data)

@@ -404,7 +404,7 @@ def test_template_bytes_pinned(default_controller, baseline_controller):
     from rampc.system import net_additive_bound
 
     def digest(tpl):
-        fields = (tpl.Q_uu, tpl._q_map, tpl._const_map, tpl.Q, tpl.G, tpl._h_base, tpl._rhs_map)
+        fields = (tpl.Q_uu, tpl.q_map, tpl.const_map, tpl.Q, tpl.G, tpl.h_base, tpl.rhs_map)
         h = hashlib.sha256()
         for a in fields:
             h.update(repr(a.shape).encode() + np.ascontiguousarray(a, dtype=np.float64).tobytes())
@@ -1118,8 +1118,8 @@ class TestCentral:
         tpl = ctl.templates[n]
         Z, z0 = _law0(ctl, n)
         v = np.array([1.0, 0.0])
-        slope = tpl.G @ Z @ v + tpl._rhs_map @ v
-        offset = tpl.G @ z0 - tpl._h_base
+        slope = tpl.G @ Z @ v + tpl.rhs_map @ v
+        offset = tpl.G @ z0 - tpl.h_base
         rising = slope > 0
         s_cross = float(np.min((1e-8 - offset[rising]) / slope[rising]))
         calls = _count_qp_solves(monkeypatch, ctl)

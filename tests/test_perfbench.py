@@ -5,7 +5,10 @@ The benchmark drives the public API and reads solver internals such as
 ``AdaptiveController.solvers``.  Its tracer wraps ``__init__`` and ``solve``
 from each controller class's own ``__dict__``, so ``BaselineController``
 must define both in its class body even though it inherits the logic from
-``AdaptiveController``.  Running its self-test here makes a change to src/
+``AdaptiveController``.  It also wraps ``parts`` from the own ``__dict__``
+of ``Case1Template`` and ``CaseNTemplate``, which share one
+``HorizonTemplate`` and differ only in their constraint rows, so each
+binds the shared ``parts`` in its own class body.  Running its self-test here makes a change to src/
 that breaks what the benchmark reads fail the test suite.
 """
 import subprocess

@@ -187,11 +187,36 @@ class TestLoader:
         assert exc.value.path == "W"
 
     def test_bad_horizon(self, tmp_problem_file):
+        for N in (0, True):  # a bool is an int to Python, not a horizon
+            data = scalar_problem_dict()
+            data["N"] = N
+            with pytest.raises(ProblemFormatError) as exc:
+                load_problem(tmp_problem_file(data))
+            assert exc.value.path == "N"
+
+    @pytest.mark.parametrize("seed", ["abc", None, [1], 1.7, True, -1])
+    def test_bad_seed(self, seed, tmp_problem_file):
         data = scalar_problem_dict()
-        data["N"] = 0
+        data["rng"] = {"seed": seed}
         with pytest.raises(ProblemFormatError) as exc:
             load_problem(tmp_problem_file(data))
-        assert exc.value.path == "N"
+        assert exc.value.path == "rng.seed"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("A_bar", [[float("nan")]]),
+            ("K", [[float("inf")]]),
+            ("W", {"box": {"lo": [float("nan")], "hi": [0.1]}}),
+        ],
+    )
+    def test_non_finite_entry(self, key, value, tmp_problem_file):
+        # JSON's NaN and Infinity parse as floats: the loader, not synthesis, rejects them
+        data = scalar_problem_dict()
+        data[key] = value
+        with pytest.raises(ProblemFormatError) as exc:
+            load_problem(tmp_problem_file(data))
+        assert exc.value.path == key
 
     def test_unbounded_constraint_set(self):
         with pytest.raises(UnboundedConstraintSetError):
